@@ -104,44 +104,45 @@ def _pair_state(u: Element, v: Element) -> PairState:
     return (u.word, v.word)
 
 
-def _conjugation_closure(
-    matrix: CoxeterMatrix, element_cap: int, length_guard: int | None = None
-) -> dict[PairState, tuple[GenPair, Element, int]]:
-    """Close the generator pairs under conjugation by generators.
+def _conjugation_orbit(
+    matrix: CoxeterMatrix,
+    pair: GenPair,
+    radius: int | None,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
+    closed: int = 0,
+) -> dict[PairState, Element]:
+    """Conjugate a generator pair by generators, breadth first.
 
-    Maps every reachable pair of reflections (u, v) to (seed pair, witness
-    q with (u, v) = q . seed . q^-1, m(seed)).  Seeds are scanned in lex
-    order, so each orbit is keyed by its lex-least generator pair.  Raises
-    ElementCapExceeded when the closure grows past the cap or a conjugate
-    outgrows the length guard; either signals an orbit that will not close
-    at desk scale.  The default guard, the larger of 24 and the largest
+    Maps every reached pair of reflections (u, v) to a witness q with
+    (u, v) = q . pair . q^-1, in discovery order.  With a radius r only
+    conjugating words of length <= r are tried.  With radius=None the
+    orbit is closed, and ElementCapExceeded is raised when the `closed`
+    states of earlier orbits plus this orbit reach the cap, or when a
+    conjugate outgrows the length guard; either signals an orbit that will
+    not close at desk scale.  The guard, the larger of 24 and the largest
     finite bond plus one, clears every computable finite catalog closure
     (their reflections stay short) while cutting infinite orbits off fast.
     """
-    if length_guard is None:
+    if radius is None:
         finite_bonds = [int(matrix.m(s, t)) for s, t in finite_pairs(matrix)]
         length_guard = max(24, max(finite_bonds, default=2) + 1)
     gens = [generator_element(matrix, i) for i in range(matrix.rank)]
-    closure: dict[PairState, tuple[GenPair, Element, int]] = {}
-    for seed in finite_pairs(matrix):
-        su, sv = gens[seed[0]], gens[seed[1]]
-        state = _pair_state(su, sv)
-        if state in closure:
-            continue
-        m = int(matrix.m(*seed))
-        closure[state] = (seed, identity_element(matrix), m)
-        frontier = [(su, sv)]
-        while frontier:
-            nxt = []
-            for u, v in frontier:
-                witness = closure[_pair_state(u, v)][1]
-                for g in gens:
-                    cu = conjugate(g, u)
-                    cv = conjugate(g, v)
-                    st = _pair_state(cu, cv)
-                    if st in closure:
-                        continue
-                    if len(closure) >= element_cap:
+    identity = identity_element(matrix)
+    su, sv = gens[pair[0]], gens[pair[1]]
+    orbit = {_pair_state(su, sv): identity}
+    frontier = [(su, sv, identity)]
+    depth = 0
+    while frontier and (radius is None or depth < radius):
+        nxt = []
+        for u, v, witness in frontier:
+            for g in gens:
+                cu = conjugate(g, u)
+                cv = conjugate(g, v)
+                st = _pair_state(cu, cv)
+                if st in orbit:
+                    continue
+                if radius is None:
+                    if closed + len(orbit) >= element_cap:
                         raise ElementCapExceeded(
                             element_cap, "conjugation closure exceeded element cap"
                         )
@@ -150,9 +151,32 @@ def _conjugation_closure(
                             length_guard,
                             f"conjugates exceed length {length_guard}; orbit looks infinite",
                         )
-                    closure[st] = (seed, multiply(g, witness), m)
-                    nxt.append((cu, cv))
-            frontier = nxt
+                q = multiply(g, witness)
+                orbit[st] = q
+                nxt.append((cu, cv, q))
+        frontier = nxt
+        depth += 1
+    return orbit
+
+
+def _conjugation_closure(
+    matrix: CoxeterMatrix, element_cap: int
+) -> dict[PairState, tuple[GenPair, Element, int]]:
+    """Close the generator pairs under conjugation by generators.
+
+    Maps every reachable pair of reflections (u, v) to (seed pair, witness
+    q with (u, v) = q . seed . q^-1, m(seed)).  Seeds are scanned in lex
+    order, so each orbit is keyed by its lex-least generator pair.  The
+    element cap counts the whole closure, not one orbit.
+    """
+    gens = [generator_element(matrix, i) for i in range(matrix.rank)]
+    closure: dict[PairState, tuple[GenPair, Element, int]] = {}
+    for seed in finite_pairs(matrix):
+        if _pair_state(gens[seed[0]], gens[seed[1]]) in closure:
+            continue
+        m = int(matrix.m(*seed))
+        orbit = _conjugation_orbit(matrix, seed, None, element_cap, len(closure))
+        closure.update((st, (seed, q, m)) for st, q in orbit.items())
     return closure
 
 
@@ -221,22 +245,7 @@ def _radius_partition(matrix: CoxeterMatrix, radius: int) -> PairClassPartition:
     # merges[(P, Q)] = q with q . P . q^-1 = Q, found within the radius
     merges: dict[tuple[GenPair, GenPair], Element] = {}
     for pair in pairs:
-        seen: dict[PairState, Element] = {base[pair]: identity_element(matrix)}
-        frontier = [(gens[pair[0]], gens[pair[1]])]
-        for _ in range(radius):
-            nxt = []
-            for u, v in frontier:
-                witness = seen[_pair_state(u, v)]
-                for g in gens:
-                    cu = conjugate(g, u)
-                    cv = conjugate(g, v)
-                    st = _pair_state(cu, cv)
-                    if st in seen:
-                        continue
-                    seen[st] = multiply(g, witness)
-                    nxt.append((cu, cv))
-            frontier = nxt
-        for st, q in seen.items():
+        for st, q in _conjugation_orbit(matrix, pair, radius).items():
             other = state_to_pair.get(st)
             if other is not None and other != pair:
                 merges.setdefault((pair, other), q)

@@ -2,16 +2,13 @@
 
 Exit codes: 0 when everything passes, 1 on any failed check, 2 when the
 worst outcome is inconclusive, 3 on usage or input errors.  Output is
-deterministic JSON on stdout; diagnostics go to stderr.  COXLAB_THREADS
-bounds the worker count when verifying many elements.
+deterministic JSON on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .braid_graph import (
     ElementCapExceeded,
@@ -89,12 +86,12 @@ def _partition(matrix: CoxeterMatrix, radius: int | None):
         ) from exc
 
 
-def _threads() -> int:
-    raw = os.environ.get("COXLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _count(text: str) -> int:
+    """argparse type for counts: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_matrix_args(parser):
@@ -111,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="conjugacy classes of generator pairs")
     _add_matrix_args(p)
-    p.add_argument("--radius", type=int, default=None,
+    p.add_argument("--radius", type=_count, default=None,
                    help="bounded conjugation radius (provisional classes)")
 
     p = sub.add_parser("graph", help="graph of the reduced expressions of a word")
@@ -119,15 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="1-indexed letters, e.g. '2 1 2 4'")
     p.add_argument("--dot", help="write DOT to this file")
     p.add_argument("--json", help="write JSON to this file")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=_count, default=None)
 
     p = sub.add_parser("verify", help="run the arc and cycle checks")
     _add_matrix_args(p)
     p.add_argument("--word", help="verify the element of this word")
     p.add_argument("--all-elements", action="store_true",
                    help="verify every element (finite groups, or with --max-length)")
-    p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--max-length", type=_count, default=None)
+    p.add_argument("--radius", type=_count, default=None)
 
     p = sub.add_parser("invs", help="inversion word and occurrence-vector support")
     _add_matrix_args(p)
@@ -139,11 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--dot", help="write DOT to this file")
     p.add_argument("--json", help="write JSON to this file")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=_count, default=None)
 
     p = sub.add_parser("props", help="randomized property suites")
     _add_matrix_args(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -210,15 +207,7 @@ def cmd_verify(args) -> int:
             ) from exc
         elements = [(e, None) for e in listed]
 
-    threads = _threads()
-    if threads > 1 and len(elements) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(lambda ew: _verify_one(matrix, partition, ew[0], ew[1]), elements)
-            )
-    else:
-        outcomes = [_verify_one(matrix, partition, e, w) for e, w in elements]
-
+    outcomes = [_verify_one(matrix, partition, e, w) for e, w in elements]
     verdict = worst(v for v, _ in outcomes)
     payload = {
         "matrix": matrix_to_json(matrix),

@@ -331,10 +331,6 @@ def generator_reflection(matrix: CoxeterMatrix, index: int) -> Reflection:
     return Reflection(generator_element(matrix, index))
 
 
-def conjugated_reflection(q: Element, r: Reflection) -> Reflection:
-    return Reflection(conjugate(q, r.element))
-
-
 @dataclass(frozen=True, slots=True)
 class DihedralReflectionWord:
     """The reflections of the dihedral subgroup <u, v>, in sweep order.

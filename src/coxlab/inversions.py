@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .braid_graph import DEFAULT_ELEMENT_CAP, conjugate_pair_closure
+from .braid_graph import conjugate_pair_closure
 from .core import (
     CoxeterMatrix,
     DEFAULT_ORDER_CAP,
@@ -186,7 +186,6 @@ def occurrence_vector(
     word: Sequence[int],
     matrix: CoxeterMatrix,
     cap: int = DEFAULT_ORDER_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> OccurrenceVector:
     """Occurrence vector of a reduced word.
 
@@ -198,13 +197,13 @@ def occurrence_vector(
     """
     w = check_word(word, matrix)
     per_matrix = _occvec_cache.setdefault(matrix, {})
-    key = (w, cap, element_cap)
+    key = (w, cap)
     hit = per_matrix.get(key)
     if hit is not None:
         return hit
     if reduce_word(w, matrix).length != len(w):
         raise ValueError("occurrence_vector requires a reduced word")
-    closure = conjugate_pair_closure(matrix, element_cap)
+    closure = conjugate_pair_closure(matrix)
     inv = inversion_word(w, matrix)
     entries = inv.entries
     position = {r: i for i, r in enumerate(entries)}

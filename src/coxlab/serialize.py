@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .braid_graph import BraidGraph, PairClassPartition
 from .core import CoxeterMatrix, Element, INFINITY, Word, validate_matrix
-from .verify import CycleParityReport, StepResult, Verdict
+from .verify import CycleParityReport, StepResult, Verdict, worst
 
 
 class MatrixFileError(ValueError):
@@ -61,14 +61,12 @@ def matrix_to_text(matrix: CoxeterMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def entry_token(value: int | float) -> int | str:
-    return "inf" if value == INFINITY else int(value)
-
-
 def matrix_to_json(matrix: CoxeterMatrix) -> dict:
     return {
         "rank": matrix.rank,
-        "entries": [[entry_token(v) for v in row] for row in matrix.entries],
+        "entries": [
+            ["inf" if v == INFINITY else int(v) for v in row] for row in matrix.entries
+        ],
     }
 
 
@@ -140,9 +138,10 @@ def graph_to_json(graph: BraidGraph, partition: PairClassPartition) -> dict:
 
 
 def parity_report_to_json(report: CycleParityReport) -> dict:
-    cycles = []
-    for index, cycle in enumerate(report.cycles):
-        checks = [
+    per_cycle: list[list[dict]] = [[] for _ in report.cycles]
+    verdicts: list[list[Verdict]] = [[] for _ in report.cycles]
+    for check in report.checks:
+        per_cycle[check.cycle_index].append(
             {
                 "class": check.class_id,
                 "op_class": check.op_class_id,
@@ -150,22 +149,18 @@ def parity_report_to_json(report: CycleParityReport) -> dict:
                 "op_count": check.op_count,
                 "verdict": check.verdict.value,
             }
-            for check in report.checks
-            if check.cycle_index == index
-        ]
-        cycles.append(
-            {
-                "index": index,
-                "arcs": list(cycle),
-                "length": len(cycle),
-                "checks": checks,
-                "verdict": max(
-                    (c.verdict for c in report.checks if c.cycle_index == index),
-                    key=_verdict_rank,
-                    default=Verdict.PASS,
-                ).value,
-            }
         )
+        verdicts[check.cycle_index].append(check.verdict)
+    cycles = [
+        {
+            "index": index,
+            "arcs": list(cycle),
+            "length": len(cycle),
+            "checks": per_cycle[index],
+            "verdict": worst(verdicts[index]).value,
+        }
+        for index, cycle in enumerate(report.cycles)
+    ]
     return {
         "mode": report.graph_mode,
         "exploratory": report.exploratory,
@@ -173,10 +168,6 @@ def parity_report_to_json(report: CycleParityReport) -> dict:
         "cycles": cycles,
         "verdict": report.verdict.value,
     }
-
-
-def _verdict_rank(verdict: Verdict) -> int:
-    return {Verdict.PASS: 0, Verdict.INCONCLUSIVE: 1, Verdict.FAIL: 2}[verdict]
 
 
 def step_results_to_json(results: Sequence[tuple[int, StepResult]]) -> dict:

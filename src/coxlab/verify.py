@@ -294,10 +294,6 @@ class CycleParityReport:
         return self.graph_mode != "reduced"
 
 
-def _class_counts(arc_colors: Iterable[int]) -> Counter:
-    return Counter(arc_colors)
-
-
 def parity_ok(counts: Mapping[int, int], class_id: int, op_id: int) -> tuple[int, int, bool]:
     """Counts for one class/op pair plus the two-part parity condition."""
     count = counts.get(class_id, 0)
@@ -307,6 +303,22 @@ def parity_ok(counts: Mapping[int, int], class_id: int, op_id: int) -> tuple[int
     else:
         ok = count == op_count and (count + op_count) % 2 == 0
     return count, op_count, ok
+
+
+def _class_results(
+    counts: Counter, op_ids: Sequence[int], exact: bool
+) -> list[tuple[int, int, int, int, Verdict]]:
+    """(class, op_class, count, op_count, verdict) per class of a closed walk.
+
+    counts maps class ids to arc counts; op_ids[c] is the opposite of
+    class c; exact is the partition's status.
+    """
+    failed = Verdict.FAIL if exact else Verdict.INCONCLUSIVE
+    results = []
+    for class_id, op_id in enumerate(op_ids):
+        count, op_count, ok = parity_ok(counts, class_id, op_id)
+        results.append((class_id, op_id, count, op_count, Verdict.PASS if ok else failed))
+    return results
 
 
 def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CycleParityReport:
@@ -319,26 +331,13 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
     """
     cycles = fundamental_cycles(graph)
     exact = partition.exact
+    op_ids = [op_class(cls.index, partition) for cls in partition.classes]
     checks: list[CycleClassCheck] = []
     for ci, cycle in enumerate(cycles):
-        counts = _class_counts(graph.arcs[i].color for i in cycle)
-        for cls in partition.classes:
-            op_id = op_class(cls.index, partition)
-            count, op_count, ok = parity_ok(counts, cls.index, op_id)
-            if ok:
-                verdict = Verdict.PASS
-            else:
-                verdict = Verdict.FAIL if exact else Verdict.INCONCLUSIVE
-            checks.append(
-                CycleClassCheck(
-                    cycle_index=ci,
-                    class_id=cls.index,
-                    op_class_id=op_id,
-                    count=count,
-                    op_count=op_count,
-                    verdict=verdict,
-                )
-            )
+        counts = Counter(graph.arcs[i].color for i in cycle)
+        checks.extend(
+            CycleClassCheck(ci, *result) for result in _class_results(counts, op_ids, exact)
+        )
     return CycleParityReport(
         graph_mode=graph.mode,
         exact_partition=exact,
@@ -398,16 +397,9 @@ def random_closed_walk(
 def walk_parity_verdict(
     graph: BraidGraph, walk: Sequence[int], partition: PairClassPartition
 ) -> Verdict:
-    counts = _class_counts(graph.arcs[i].color for i in walk)
-    verdicts = []
-    for cls in partition.classes:
-        op_id = op_class(cls.index, partition)
-        _, _, ok = parity_ok(counts, cls.index, op_id)
-        if ok:
-            verdicts.append(Verdict.PASS)
-        else:
-            verdicts.append(Verdict.FAIL if partition.exact else Verdict.INCONCLUSIVE)
-    return worst(verdicts)
+    op_ids = [op_class(cls.index, partition) for cls in partition.classes]
+    counts = Counter(graph.arcs[i].color for i in walk)
+    return worst(result[-1] for result in _class_results(counts, op_ids, partition.exact))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +467,9 @@ def property_harness(
     reversal and conjugated-reversal identities, distinctness of
     inversion-word entries, the braid-factor certificate, the at-most-one
     embedding and mutual-exclusion subword properties, the conjugate-pair
-    order law, and a membership sanity check in two-generated subgroups.
+    order law, and membership in two-generated subgroups: the elements
+    (uv)^(g-1) u and (uv)^g u, recomputed by powering, must be the sweep
+    entries g-1 and g mod m.
     Failures carry shrunk witnesses.  Zero failures is the expected
     outcome; anything else indicates an implementation bug.
     """
@@ -590,16 +584,21 @@ def property_harness(
                     else {"pair": [pu, pv], "x": list(x.word), "expected": m},
                 )
 
+                # sweep entry i is (uv)^i u and (uv)^m = e, so the powers
+                # recomputed here must land on entries g-1 and g mod m
                 g_pow = rng.randint(-2, 3)
                 uv = multiply(u.element, v.element)
                 p1 = multiply(_power(uv, g_pow - 1), u.element)
                 p2 = multiply(_power(uv, g_pow), u.element)
-                in_h = p1 in subgroup and p2 in subgroup
-                conclusion = u.element in subgroup and v.element in subgroup
+                order = sweep.order
+                ok = (
+                    p1 == sweep.entries[(g_pow - 1) % order].element
+                    and p2 == sweep.entries[g_pow % order].element
+                )
                 report.record(
                     "two_generated_subgroup_membership",
-                    (not in_h) or conclusion,
-                    None if (not in_h) or conclusion else {"pair": [s, t]},
+                    ok,
+                    None if ok else {"pair": [s, t], "q": list(q.word), "power": g_pow},
                 )
 
         if len(reduced) <= 10 and len(inv.entries) >= 2:

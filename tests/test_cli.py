@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -209,6 +210,49 @@ class TestCliCommands:
         )
         assert a.stdout == b.stdout
         assert b.returncode == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("classes", "--type", "A3", "--radius", "-2"),
+            ("verify", "--type", "A3", "--all-elements", "--max-length", "-1"),
+            ("verify", "--type", "A3", "--word", "1", "--radius", "-1"),
+            ("props", "--type", "A3", "--samples", "-5"),
+        ],
+    )
+    def test_negative_counts_are_usage_errors(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 3
+        assert result.stdout == ""
+
+    # sha256 of stdout for small runs: any change to an output byte or an
+    # exit code fails here; the exit-2 cases carry non-pass cycle verdicts
+    @pytest.mark.parametrize(
+        "args, code, digest",
+        [
+            (("verify", "--type", "A3", "--all-elements"), 0,
+             "7ce2bf98e7ec26f0cbaea853409d0467e6697663267dea54aa7183cb492da7ad"),
+            (("verify", "--type", "B3", "--all-elements"), 0,
+             "9d9167964bd44e96b053c7644715932a2fd43451bf0a70a324088c197b4a237b"),
+            (("verify", "--type", "A4", "--word", "2 1 2 4", "--radius", "0"), 2,
+             "f05256f2250fb4e5f03be4dc2f98b4d094364b59a7bfad446715cf069d653a42"),
+            (("verify", "--type", "A4", "--all-elements", "--max-length", "4",
+              "--radius", "1"), 2,
+             "fbf52719b6e5659b279f7b261cc7ad36de8db7df83bea36f215ba2335a9c4624"),
+            (("classes", "--type", "B3", "--radius", "1"), 0,
+             "479ef47d2e0fb22072da30d165dd8e47f667f16538871fead7e89aff986e0763"),
+            (("classes", "--type", "H3"), 0,
+             "09b5929e0aaf0688a383cc163f6926c41f3f1015fcfd1c09959ae1db6512b360"),
+            (("expr-graph", "--type", "A3", "--word", "1 2", "--length", "4"), 0,
+             "94ab9271952e2d940d2fd1d3d44638b8330685469af90b9a07ec04227fff12fe"),
+            (("props", "--type", "A3", "--samples", "40", "--seed", "42"), 0,
+             "58c6b43625e96daf84b76ee6faa28fa68b7585f1192d25b26cd3aaf4d2349706"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, args, code, digest):
+        result = run_cli(*args)
+        assert result.returncode == code
+        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
 
     def test_verdict_exit_mapping(self):
         from coxlab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, _verdict_exit

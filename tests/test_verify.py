@@ -311,3 +311,17 @@ class TestPropertyHarness:
         a = property_harness(A3, samples=50, seed=5)
         b = property_harness(A3, samples=50, seed=5)
         assert a.checks == b.checks and a.failures == b.failures
+
+    def test_membership_property_catches_a_rotated_sweep(self, monkeypatch):
+        import coxlab.verify
+        from coxlab.core import DihedralReflectionWord, dihedral_reflection_word
+
+        def rotated(u, v, cap=None):
+            sweep = dihedral_reflection_word(u, v)
+            entries = sweep.entries[1:] + sweep.entries[:1]
+            return DihedralReflectionWord(pair=sweep.pair, entries=entries)
+
+        monkeypatch.setattr(coxlab.verify, "dihedral_reflection_word", rotated)
+        report = property_harness(A3, samples=20, seed=3)
+        failed = {f.name for f in report.failures}
+        assert "two_generated_subgroup_membership" in failed
