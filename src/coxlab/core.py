@@ -60,17 +60,17 @@ class CoxeterMatrix:
     """Validated symmetric matrix over {1, 2, 3, ...} u {inf}.
 
     Hashable and compared by entries.  Instances carry memoization caches
-    for canonical forms and product orders; the caches never affect
-    equality.
+    for canonical forms and for dihedral sweeps (keyed by the canonical
+    words of the two reflections); the caches never affect equality.
     """
 
-    __slots__ = ("entries", "_hash", "_canon", "_orders", "__weakref__")
+    __slots__ = ("entries", "_hash", "_canon", "_sweeps", "__weakref__")
 
     def __init__(self, entries: tuple[tuple[int | float, ...], ...]):
         self.entries = entries
         self._hash = hash(entries)
         self._canon: dict[Word, Word] = {}
-        self._orders: dict[tuple[Word, Word], int] = {}
+        self._sweeps: dict[tuple[Word, Word], DihedralReflectionWord] = {}
 
     @property
     def rank(self) -> int:
@@ -282,13 +282,6 @@ def order_of_product(u: Element, v: Element, cap: int = DEFAULT_ORDER_CAP) -> in
     """Least m >= 1 with (uv)^m = identity; CapExceededError past the cap."""
     if u == v:
         raise ValueError("order_of_product requires distinct elements")
-    matrix = u.matrix
-    key = (u.word, v.word)
-    hit = matrix._orders.get(key)
-    if hit is not None:
-        if hit > cap:
-            raise CapExceededError(cap)
-        return hit
     product = multiply(u, v)
     power = product
     m = 1
@@ -297,8 +290,6 @@ def order_of_product(u: Element, v: Element, cap: int = DEFAULT_ORDER_CAP) -> in
         if m > cap:
             raise CapExceededError(cap)
         power = multiply(power, product)
-    matrix._orders[key] = m
-    matrix._orders[(v.word, u.word)] = m
     return m
 
 
@@ -362,10 +353,20 @@ def dihedral_reflection_word(
 ) -> DihedralReflectionWord:
     """Build the sweep ((uv)^0 u, (uv)^1 u, ..., (uv)^(m-1) u).
 
-    Requires u != v with finite product order (CapExceededError otherwise).
+    Requires u != v with product order m <= cap (CapExceededError
+    otherwise, also when the sweep is already memoized).  Each sweep is
+    built once per matrix; callers that know m, such as the arc law for
+    a conjugate of a generator pair, pass it as the cap.
     """
     if u == v:
         raise ValueError("dihedral_reflection_word requires distinct reflections")
+    sweeps = u.matrix._sweeps
+    key = (u.element.word, v.element.word)
+    hit = sweeps.get(key)
+    if hit is not None:
+        if hit.order > cap:
+            raise CapExceededError(cap)
+        return hit
     m = order_of_product(u.element, v.element, cap=cap)
     step = multiply(u.element, v.element)
     entries = [u.element]
@@ -376,7 +377,9 @@ def dihedral_reflection_word(
         raise AssertionError("sweep entries are not distinct")
     if refl_entries[0] != u or refl_entries[-1] != v:
         raise AssertionError("sweep does not run from u to v")
-    return DihedralReflectionWord(pair=(u, v), entries=refl_entries)
+    sweep = DihedralReflectionWord(pair=(u, v), entries=refl_entries)
+    sweeps[key] = sweep
+    return sweep
 
 
 def dihedral_subgroup(u: Element, v: Element, cap: int = 4096) -> frozenset[Element]:

@@ -25,11 +25,9 @@ from .core import (
     CoxeterMatrix,
     DEFAULT_ORDER_CAP,
     DihedralReflectionWord,
-    Element,
     Reflection,
     Word,
     check_word,
-    conjugate,
     dihedral_reflection_word,
     generator_element,
     identity_element,
@@ -182,23 +180,19 @@ class OccurrenceVector:
 _occvec_cache: "weakref.WeakKeyDictionary[CoxeterMatrix, dict]" = weakref.WeakKeyDictionary()
 
 
-def occurrence_vector(
-    word: Sequence[int],
-    matrix: CoxeterMatrix,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> OccurrenceVector:
+def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> OccurrenceVector:
     """Occurrence vector of a reduced word.
 
     Candidates are ordered pairs of distinct inversion-word entries that
-    are conjugates of generator pairs; each stored value is 1.  Raises
-    CapExceededError (or ElementCapExceeded) when the conjugation closure
-    or an order computation cannot be completed, and ValueError when the
-    word is not reduced.
+    are conjugates of generator pairs; each stored value is 1.  A
+    candidate's sweep has the order m of its generator pair, read from
+    the conjugation closure, so no order search or order cap is involved.
+    Raises ElementCapExceeded when the conjugation closure cannot be
+    completed, and ValueError when the word is not reduced.
     """
     w = check_word(word, matrix)
     per_matrix = _occvec_cache.setdefault(matrix, {})
-    key = (w, cap)
-    hit = per_matrix.get(key)
+    hit = per_matrix.get(w)
     if hit is not None:
         return hit
     if reduce_word(w, matrix).length != len(w):
@@ -210,13 +204,13 @@ def occurrence_vector(
     coords: dict[ReflectionPair, int] = {}
     for i, u in enumerate(entries):
         for v in entries[i + 1:]:
-            if (u.element.word, v.element.word) not in closure:
+            state = closure.get((u.element.word, v.element.word))
+            if state is None:
                 continue
-            pair = ReflectionPair(u, v)
-            sweep = dihedral_reflection_word(u, v, cap=cap)
+            sweep = dihedral_reflection_word(u, v, cap=state[2])
             positions = [position.get(r) for r in sweep.entries]
             if None not in positions and positions == sorted(positions):
-                coords[pair] = 1
+                coords[ReflectionPair(u, v)] = 1
     vec = OccurrenceVector(coords)
-    per_matrix[key] = vec
+    per_matrix[w] = vec
     return vec

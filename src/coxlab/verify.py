@@ -10,7 +10,7 @@ fundamental-cycle basis of the (bidirected) graph suffices; random closed
 walks guard the reduction in the test suite.
 
 Verdicts are three-valued: a failure that rests on a provisional class
-partition or on a capped order computation is reported as inconclusive,
+partition or on a capped conjugation closure is reported as inconclusive,
 never as a counterexample.
 """
 
@@ -44,7 +44,6 @@ from .core import (
     dihedral_reflection_word,
     dihedral_subgroup,
     generator_element,
-    generator_reflection,
     identity_element,
     inverse,
     multiply,
@@ -101,9 +100,12 @@ def find_braid_factor(
 ) -> BraidStepCertificate:
     """Locate the move window and build its certificate.
 
-    Scans positions left to right and takes the least window that matches;
-    the certificate is cross-checked against both inversion words before
-    being returned.  Raises NotABraidStep when no window works.
+    Scans positions left to right and takes the least window that matches.
+    s', t' and the factor are read off a's inversion word, then
+    cross-checked: the endpoints against q s q^-1 and q t q^-1, the factor
+    against the sweep of (s', t') of order m(s, t), and b's inversion word
+    against a's with the factor reversed.  Raises NotABraidStep when no
+    window works and AssertionError when a cross-check fails.
     """
     wa = check_word(a, matrix)
     wb = check_word(b, matrix)
@@ -132,24 +134,19 @@ def find_braid_factor(
         raise NotABraidStep(f"no ({s}, {t}) braid window between the words")
 
     q = reduce_word(wa[:position], matrix)
-    s_prime = Reflection(conjugate(q, generator_element(matrix, s)))
-    t_prime = Reflection(conjugate(q, generator_element(matrix, t)))
-    sweep = dihedral_reflection_word(
-        generator_reflection(matrix, s), generator_reflection(matrix, t)
-    )
-    factor = tuple(Reflection(e) for e in sweep.conjugated_by(q))
-
     inv_a = inversion_word(wa, matrix).entries
     inv_b = inversion_word(wb, matrix).entries
-    if inv_a[position : position + m] != factor:
-        raise AssertionError("certificate factor mismatch against inversion word")
-    expected_b = (
-        inv_a[:position] + factor[::-1] + inv_a[position + m :]
-    )
-    if inv_b != expected_b:
-        raise AssertionError("braid move did not reverse the inversion-word factor")
-    if factor[0] != s_prime or factor[-1] != t_prime:
+    factor = inv_a[position : position + m]
+    s_prime, t_prime = factor[0], factor[-1]
+    if (
+        s_prime.element != conjugate(q, generator_element(matrix, s))
+        or t_prime.element != conjugate(q, generator_element(matrix, t))
+    ):
         raise AssertionError("factor endpoints disagree with conjugated generators")
+    if factor != dihedral_reflection_word(s_prime, t_prime, cap=m).entries:
+        raise AssertionError("certificate factor mismatch against inversion word")
+    if inv_b != inv_a[:position] + factor[::-1] + inv_a[position + m :]:
+        raise AssertionError("braid move did not reverse the inversion-word factor")
     return BraidStepCertificate(
         position=position, q=q, s_prime=s_prime, t_prime=t_prime, factor=factor
     )
@@ -166,18 +163,23 @@ def verify_has_step(
     b: Sequence[int],
     pair: GenPair,
     matrix: CoxeterMatrix,
-    cap: int = DEFAULT_ORDER_CAP,
 ) -> StepResult:
     """Check the occurrence-vector update across one braid move.
 
     Passes iff vector(b) = vector(a) - (s', t') + (t', s').  Raises
-    NotABraidStep when the words do not differ by the stated move; capped
-    computations downgrade the verdict to inconclusive.
+    NotABraidStep when the words do not differ by the stated move.  A
+    failed certificate cross-check is a FAIL with details "certificate:
+    <message>"; a conjugation closure that hits its cap downgrades the
+    verdict to inconclusive.  Sweep orders come from the closure, so no
+    order cap applies.
     """
-    cert = find_braid_factor(a, b, pair, matrix)
     try:
-        vec_a = occurrence_vector(a, matrix, cap=cap)
-        vec_b = occurrence_vector(b, matrix, cap=cap)
+        cert = find_braid_factor(a, b, pair, matrix)
+    except AssertionError as exc:
+        return StepResult(Verdict.FAIL, f"certificate: {exc}")
+    try:
+        vec_a = occurrence_vector(a, matrix)
+        vec_b = occurrence_vector(b, matrix)
     except CapExceededError as exc:
         return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
     expected = vec_a.shifted(
@@ -347,9 +349,7 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
     )
 
 
-def verify_arc_steps(
-    graph: BraidGraph, cap: int = DEFAULT_ORDER_CAP
-) -> tuple[Verdict, list[tuple[int, StepResult]]]:
+def verify_arc_steps(graph: BraidGraph) -> tuple[Verdict, list[tuple[int, StepResult]]]:
     """Run the per-arc occurrence-vector check on every arc of a graph."""
     results: list[tuple[int, StepResult]] = []
     for i, arc in enumerate(graph.arcs):
@@ -358,7 +358,6 @@ def verify_arc_steps(
             graph.vertices[arc.target],
             arc.pair,
             graph.matrix,
-            cap=cap,
         )
         results.append((i, res))
     return worst(r.verdict for _, r in results), results

@@ -247,12 +247,29 @@ class TestCliCommands:
              "94ab9271952e2d940d2fd1d3d44638b8330685469af90b9a07ec04227fff12fe"),
             (("props", "--type", "A3", "--samples", "40", "--seed", "42"), 0,
              "58c6b43625e96daf84b76ee6faa28fa68b7585f1192d25b26cd3aaf4d2349706"),
+            (("invs", "--type", "H3", "--word", "1 2 1 2 1 3 2"), 0,
+             "651a06fced9567c9850fc7f685ad377900c031fcce71cd42ecfe21f5744e9b66"),
+            (("invs", "--type", "B3", "--word", "1 2 1 2 3 2"), 0,
+             "76189dc3495da90dc9d8d7f74222d5ea0d4999f3c63ea6dc589f5df9c2d4679e"),
+            (("invs", "--type", "I2_7", "--word", "1 2 1 2 1 2 1"), 0,
+             "d080671dd3c7399ed2d8f5dbe0d33b834f6ecc15648aa4f4203c7402c202ec94"),
         ],
     )
     def test_output_bytes_are_pinned(self, args, code, digest):
         result = run_cli(*args)
         assert result.returncode == code
         assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
+
+    def test_bond_above_the_order_cap(self):
+        # I2(65): the sweep has 65 entries, more than the default order cap
+        word = " ".join("1" if i % 2 == 0 else "2" for i in range(65))
+        result = run_cli("verify", "--type", "I2_65", "--word", word)
+        assert result.returncode == 0
+        element = json.loads(result.stdout)["elements"][0]
+        assert element["arc_checks"] == {"checked": 2, "failures": []}
+        invs = run_cli("invs", "--type", "I2_65", "--word", word)
+        assert invs.returncode == 0
+        assert json.loads(invs.stdout)["support"] is not None
 
     def test_verdict_exit_mapping(self):
         from coxlab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, _verdict_exit

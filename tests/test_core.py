@@ -224,6 +224,18 @@ class TestDihedralReflectionWord:
                 expected = oracle.conjugate(perm_q, oracle.word_to_element(entry.element.word))
                 assert oracle.word_to_element(ours.word) == expected
 
+    def test_memoized_sweep_still_honours_the_cap(self):
+        m = catalog_matrix("I2_7")
+        u, v = generator_reflection(m, 0), generator_reflection(m, 1)
+        with pytest.raises(CapExceededError):
+            dihedral_reflection_word(u, v, cap=6)
+        sweep = dihedral_reflection_word(u, v, cap=7)
+        assert sweep.order == 7
+        assert dihedral_reflection_word(u, v) is sweep
+        with pytest.raises(CapExceededError) as info:
+            dihedral_reflection_word(u, v, cap=6)
+        assert info.value.cap == 6
+
     def test_entries_cover_dihedral_reflections(self):
         u = Reflection(reduce_word((0, 1, 0), A3))
         v = generator_reflection(A3, 2)

@@ -88,7 +88,8 @@ class TestFindBraidFactor:
 
 
 class TestVerifyHasStep:
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    # 65 is a bond above the default order cap
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 65])
     def test_half_braid_flip(self, m):
         matrix = catalog_matrix(f"I2_{m}")
         a = alternating_word(0, 1, m)
@@ -118,12 +119,43 @@ class TestVerifyHasStep:
         assert verify_has_step(a, b, (0, 2), A3).verdict is Verdict.PASS
 
     def test_inconclusive_on_cap(self):
-        # force the occurrence-vector order computations past a tiny cap
-        m = catalog_matrix("I2_7")
-        a = alternating_word(0, 1, 7)
-        b = alternating_word(1, 0, 7)
-        result = verify_has_step(a, b, (0, 1), m, cap=3)
+        # sweep orders come from the conjugation closure, so the cap that
+        # still governs the arc law is the closure's: an infinite group
+        # cuts it off
+        m = validate_matrix([[1, 3, float("inf")], [3, 1, 3], [float("inf"), 3, 1]])
+        result = verify_has_step((0, 1, 0), (1, 0, 1), (0, 1), m)
         assert result.verdict is Verdict.INCONCLUSIVE
+        assert result.details.startswith("cap exceeded:")
+
+    def test_certificate_failure_is_a_fail_verdict(self, monkeypatch):
+        # b's inversion word comes back with the move window unreversed,
+        # so the certificate's last cross-check must fail
+        import coxlab.verify
+        from coxlab import inversion_word
+
+        a = (1, 0, 2)
+        b = (1, 2, 0)
+
+        def unreversed(word, matrix):
+            return inversion_word(a if tuple(word) == b else word, matrix)
+
+        monkeypatch.setattr(coxlab.verify, "inversion_word", unreversed)
+        result = verify_has_step(a, b, (0, 2), A3)
+        assert result.verdict is Verdict.FAIL
+        assert result.details == (
+            "certificate: braid move did not reverse the inversion-word factor"
+        )
+
+    @pytest.mark.slow
+    def test_every_arc_of_the_b4_longest_element(self):
+        # 24 024 reduced words: the standard Young tableaux of the 4x4 square
+        longest = enumerate_elements(catalog_matrix("B4"))[-1]
+        graph = reduced_graph(longest)
+        assert len(graph.vertices) == 24024
+        assert len(graph.arcs) == 168636
+        verdict, results = verify_arc_steps(graph)
+        assert verdict is Verdict.PASS
+        assert len(results) == 168636
 
 
 class TestFundamentalCycles:
