@@ -12,7 +12,6 @@ classes are only provisional, i.e. possibly finer than the truth.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -180,20 +179,23 @@ def _conjugation_closure(
     return closure
 
 
-_closure_cache: "weakref.WeakKeyDictionary[CoxeterMatrix, dict]" = weakref.WeakKeyDictionary()
-
-
 def conjugate_pair_closure(
     matrix: CoxeterMatrix, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> dict[PairState, tuple[GenPair, Element, int]]:
-    """Cached closure of generator pairs under conjugation (the exact orbits)."""
-    if element_cap == DEFAULT_ELEMENT_CAP:
-        cached = _closure_cache.get(matrix)
-        if cached is None:
-            cached = _conjugation_closure(matrix, element_cap)
-            _closure_cache[matrix] = cached
-        return cached
-    return _conjugation_closure(matrix, element_cap)
+    """Closure of generator pairs under conjugation (the exact orbits).
+
+    At the default cap the closure, or the cap error, is memoized on the matrix.
+    """
+    if element_cap != DEFAULT_ELEMENT_CAP:
+        return _conjugation_closure(matrix, element_cap)
+    if matrix._closure is None:
+        try:
+            matrix._closure = _conjugation_closure(matrix, element_cap)
+        except ElementCapExceeded as exc:
+            matrix._closure = exc.with_traceback(None)  # frees the partial orbit
+    if isinstance(matrix._closure, ElementCapExceeded):
+        raise ElementCapExceeded(matrix._closure.cap, str(matrix._closure))
+    return matrix._closure
 
 
 def pair_classes(
@@ -208,12 +210,8 @@ def pair_classes(
     conjugating word of length <= r maps one to the other, and every class
     is marked provisional.
     """
-    if radius is None:
-        return _exact_partition(matrix, element_cap)
-    return _radius_partition(matrix, radius)
-
-
-def _exact_partition(matrix: CoxeterMatrix, element_cap: int) -> PairClassPartition:
+    if radius is not None:
+        return _radius_partition(matrix, radius)
     closure = conjugate_pair_closure(matrix, element_cap)
     gens = [generator_element(matrix, i) for i in range(matrix.rank)]
     grouped: dict[GenPair, dict[GenPair, Element]] = {}
@@ -286,18 +284,9 @@ def _radius_partition(matrix: CoxeterMatrix, radius: int) -> PairClassPartition:
     return PairClassPartition(matrix=matrix, classes=tuple(out))
 
 
-_partition_cache: "weakref.WeakKeyDictionary[CoxeterMatrix, PairClassPartition]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def default_partition(matrix: CoxeterMatrix) -> PairClassPartition:
-    """Exact partition, computed once per matrix."""
-    cached = _partition_cache.get(matrix)
-    if cached is None:
-        cached = pair_classes(matrix)
-        _partition_cache[matrix] = cached
-    return cached
+    """Exact partition, grouped from the closure memoized on the matrix."""
+    return pair_classes(matrix)
 
 
 @dataclass(frozen=True, slots=True)

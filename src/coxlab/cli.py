@@ -1,25 +1,25 @@
 """Command-line front end.
 
 Exit codes: 0 when everything passes, 1 on any failed check, 2 when the
-worst outcome is inconclusive, 3 on usage or input errors.  Output is
-deterministic JSON on stdout; diagnostics go to stderr.
+worst outcome is inconclusive, 3 on usage or input errors, 4 on internal
+errors.  Output is deterministic JSON on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .braid_graph import (
     ElementCapExceeded,
-    LengthParityMismatch,
     expression_graph,
     pair_classes,
     reduced_graph,
 )
 from .catalog import catalog_matrix
 from .core import CapExceededError, CoxeterMatrix, enumerate_elements, reduce_word
-from .inversions import inversion_word, occurrence_vector
+from .inversions import inversion_word, occurrence_vector_of
 from .serialize import (
     MatrixFileError,
     dump_json,
@@ -46,6 +46,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -75,6 +76,13 @@ def _load_matrix(args) -> CoxeterMatrix:
         except (OSError, MatrixFileError, ValueError) as exc:
             raise UsageError(f"cannot read matrix file: {exc}") from exc
     raise UsageError("one of --type or --matrix is required")
+
+
+def _parse_word(text: str, matrix: CoxeterMatrix):
+    try:
+        return parse_surface_word(text, matrix)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _partition(matrix: CoxeterMatrix, radius: int | None):
@@ -155,15 +163,11 @@ def cmd_classes(args) -> int:
     return EXIT_PASS
 
 
-def cmd_graph(args) -> int:
-    matrix = _load_matrix(args)
-    word = parse_surface_word(args.word, matrix)
-    partition = _partition(matrix, args.radius)
-    element = reduce_word(word, matrix)
-    graph = reduced_graph(element, partition)
+def _write_graph(args, graph, partition, word, report) -> None:
+    """A graph document to stdout and --json, the graph as DOT to --dot."""
     payload = graph_to_json(graph, partition)
-    payload["element"] = element_to_json(element, source=word)
-    payload["report"] = None
+    payload["element"] = element_to_json(graph.element, source=word)
+    payload["report"] = None if report is None else parity_report_to_json(report)
     text = dump_json(payload)
     sys.stdout.write(text)
     if args.json:
@@ -172,6 +176,15 @@ def cmd_graph(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(graph_to_dot(graph))
+
+
+def cmd_graph(args) -> int:
+    matrix = _load_matrix(args)
+    word = _parse_word(args.word, matrix)
+    partition = _partition(matrix, args.radius)
+    element = reduce_word(word, matrix)
+    graph = reduced_graph(element, partition)
+    _write_graph(args, graph, partition, word, None)
     return EXIT_PASS
 
 
@@ -195,7 +208,7 @@ def cmd_verify(args) -> int:
         raise UsageError("choose exactly one of --word or --all-elements")
     partition = _partition(matrix, args.radius)
     if args.word is not None:
-        word = parse_surface_word(args.word, matrix)
+        word = _parse_word(args.word, matrix)
         element = reduce_word(word, matrix)
         elements = [(element, word)]
     else:
@@ -220,7 +233,7 @@ def cmd_verify(args) -> int:
 
 def cmd_invs(args) -> int:
     matrix = _load_matrix(args)
-    word = parse_surface_word(args.word, matrix)
+    word = _parse_word(args.word, matrix)
     inv = inversion_word(word, matrix)
     payload = {
         "matrix": matrix_to_json(matrix),
@@ -230,7 +243,7 @@ def cmd_invs(args) -> int:
     element = reduce_word(word, matrix)
     if element.length == len(word):
         try:
-            vec = occurrence_vector(word, matrix)
+            vec = occurrence_vector_of(inv, matrix)
             payload["support"] = [
                 {
                     "u": surface_word(pair.u.element.word),
@@ -254,25 +267,15 @@ def cmd_invs(args) -> int:
 
 def cmd_expr_graph(args) -> int:
     matrix = _load_matrix(args)
-    word = parse_surface_word(args.word, matrix)
+    word = _parse_word(args.word, matrix)
     partition = _partition(matrix, args.radius)
     element = reduce_word(word, matrix)
     try:
         graph = expression_graph(element, args.length, partition)
-    except LengthParityMismatch as exc:
+    except ValueError as exc:  # wrong parity, or padding in rank 0
         raise UsageError(str(exc)) from exc
     report = verify_parity(graph, partition)
-    payload = graph_to_json(graph, partition)
-    payload["element"] = element_to_json(element, source=word)
-    payload["report"] = parity_report_to_json(report)
-    text = dump_json(payload)
-    sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_dot(graph))
+    _write_graph(args, graph, partition, word, report)
     return _verdict_exit(report.verdict)
 
 
@@ -314,9 +317,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -59,18 +59,19 @@ class CapExceededError(RuntimeError):
 class CoxeterMatrix:
     """Validated symmetric matrix over {1, 2, 3, ...} u {inf}.
 
-    Hashable and compared by entries.  Instances carry memoization caches
-    for canonical forms and for dihedral sweeps (keyed by the canonical
-    words of the two reflections); the caches never affect equality.
+    Hashable and compared by entries.  Instances carry per-matrix memos
+    that never affect equality: canonical forms, dihedral sweeps (keyed by
+    reflection words) and the outcome of braid_graph.conjugate_pair_closure.
     """
 
-    __slots__ = ("entries", "_hash", "_canon", "_sweeps", "__weakref__")
+    __slots__ = ("entries", "_hash", "_canon", "_sweeps", "_closure")
 
     def __init__(self, entries: tuple[tuple[int | float, ...], ...]):
         self.entries = entries
         self._hash = hash(entries)
         self._canon: dict[Word, Word] = {}
         self._sweeps: dict[tuple[Word, Word], DihedralReflectionWord] = {}
+        self._closure: dict | CapExceededError | None = None
 
     @property
     def rank(self) -> int:

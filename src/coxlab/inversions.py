@@ -12,11 +12,12 @@ moves preserve the rest of the vector.
 
 Candidate support pairs are drawn from the entries of the inversion word
 only; this loses nothing because a sweep starts with u and ends with v.
+
+Nothing is memoized per word; closure and sweeps live on the CoxeterMatrix.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -69,26 +70,19 @@ class ReflectionPair:
         return ReflectionPair(self.v, self.u)
 
 
-_invword_cache: "weakref.WeakKeyDictionary[CoxeterMatrix, dict]" = weakref.WeakKeyDictionary()
-
-
 def inversion_word(word: Sequence[int], matrix: CoxeterMatrix) -> InversionWord:
     """Prefix-conjugate reflections of a word (reducedness not required)."""
     w = check_word(word, matrix)
-    per_matrix = _invword_cache.setdefault(matrix, {})
-    entries = per_matrix.get(w)
-    if entries is None:
-        prefix = identity_element(matrix)
-        prefix_inv = prefix
-        out = []
-        for letter in w:
-            gen = generator_element(matrix, letter)
-            out.append(Reflection(multiply(multiply(prefix, gen), prefix_inv)))
-            prefix = multiply(prefix, gen)
-            prefix_inv = multiply(gen, prefix_inv)
-        entries = tuple(out)
-        per_matrix[w] = entries
-    return InversionWord(source=w, entries=entries)
+    prefix = identity_element(matrix)
+    prefix_inv = prefix
+    entries = []
+    for letter in w:
+        gen = generator_element(matrix, letter)
+        step = multiply(prefix, gen)
+        entries.append(Reflection(multiply(step, prefix_inv)))
+        prefix = step
+        prefix_inv = multiply(gen, prefix_inv)
+    return InversionWord(source=w, entries=tuple(entries))
 
 
 def occurrence_bit(
@@ -177,28 +171,24 @@ class OccurrenceVector:
         return f"OccurrenceVector({{{items}}})"
 
 
-_occvec_cache: "weakref.WeakKeyDictionary[CoxeterMatrix, dict]" = weakref.WeakKeyDictionary()
-
-
 def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> OccurrenceVector:
-    """Occurrence vector of a reduced word.
+    """Occurrence vector of a reduced word: occurrence_vector_of its inversion word."""
+    return occurrence_vector_of(inversion_word(word, matrix), matrix)
+
+
+def occurrence_vector_of(inv: InversionWord, matrix: CoxeterMatrix) -> OccurrenceVector:
+    """Occurrence vector of the reduced word inv.source, read off inv.
 
     Candidates are ordered pairs of distinct inversion-word entries that
     are conjugates of generator pairs; each stored value is 1.  A
     candidate's sweep has the order m of its generator pair, read from
     the conjugation closure, so no order search or order cap is involved.
-    Raises ElementCapExceeded when the conjugation closure cannot be
-    completed, and ValueError when the word is not reduced.
+    Raises ValueError when the word is not reduced, and ElementCapExceeded
+    when the conjugation closure cannot be completed.
     """
-    w = check_word(word, matrix)
-    per_matrix = _occvec_cache.setdefault(matrix, {})
-    hit = per_matrix.get(w)
-    if hit is not None:
-        return hit
-    if reduce_word(w, matrix).length != len(w):
+    if reduce_word(inv.source, matrix).length != len(inv.source):
         raise ValueError("occurrence_vector requires a reduced word")
     closure = conjugate_pair_closure(matrix)
-    inv = inversion_word(w, matrix)
     entries = inv.entries
     position = {r: i for i, r in enumerate(entries)}
     coords: dict[ReflectionPair, int] = {}
@@ -211,6 +201,4 @@ def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> OccurrenceV
             positions = [position.get(r) for r in sweep.entries]
             if None not in positions and positions == sorted(positions):
                 coords[ReflectionPair(u, v)] = 1
-    vec = OccurrenceVector(coords)
-    per_matrix[w] = vec
-    return vec
+    return OccurrenceVector(coords)

@@ -51,10 +51,11 @@ from .core import (
     reduce_word,
 )
 from .inversions import (
+    InversionWord,
     ReflectionPair,
     inversion_word,
     occurrence_bit,
-    occurrence_vector,
+    occurrence_vector_of,
     subword_embedding_count,
 )
 
@@ -107,8 +108,15 @@ def find_braid_factor(
     against a's with the factor reversed.  Raises NotABraidStep when no
     window works and AssertionError when a cross-check fails.
     """
-    wa = check_word(a, matrix)
-    wb = check_word(b, matrix)
+    inv_a, inv_b = inversion_word(a, matrix), inversion_word(b, matrix)
+    return _certificate(inv_a.source, inv_b.source, inv_a, inv_b, pair, matrix)
+
+
+def _certificate(
+    wa: Word, wb: Word, inv_a: InversionWord, inv_b: InversionWord, pair: GenPair,
+    matrix: CoxeterMatrix,
+) -> BraidStepCertificate:
+    """find_braid_factor on letter-checked words and their inversion words."""
     s, t = pair
     if s == t or not 0 <= s < matrix.rank or not 0 <= t < matrix.rank:
         raise NotABraidStep(f"invalid generator pair {pair}")
@@ -134,9 +142,7 @@ def find_braid_factor(
         raise NotABraidStep(f"no ({s}, {t}) braid window between the words")
 
     q = reduce_word(wa[:position], matrix)
-    inv_a = inversion_word(wa, matrix).entries
-    inv_b = inversion_word(wb, matrix).entries
-    factor = inv_a[position : position + m]
+    factor = inv_a.entries[position : position + m]
     s_prime, t_prime = factor[0], factor[-1]
     if (
         s_prime.element != conjugate(q, generator_element(matrix, s))
@@ -145,7 +151,7 @@ def find_braid_factor(
         raise AssertionError("factor endpoints disagree with conjugated generators")
     if factor != dihedral_reflection_word(s_prime, t_prime, cap=m).entries:
         raise AssertionError("certificate factor mismatch against inversion word")
-    if inv_b != inv_a[:position] + factor[::-1] + inv_a[position + m :]:
+    if inv_b.entries != inv_a.entries[:position] + factor[::-1] + inv_a.entries[position + m :]:
         raise AssertionError("braid move did not reverse the inversion-word factor")
     return BraidStepCertificate(
         position=position, q=q, s_prime=s_prime, t_prime=t_prime, factor=factor
@@ -158,6 +164,43 @@ class StepResult:
     details: str = ""
 
 
+def _arc_law(
+    words: Sequence[Sequence[int]],
+    arcs: Sequence[tuple[int, int, GenPair]],
+    matrix: CoxeterMatrix,
+) -> list[StepResult]:
+    """verify_has_step on (source, target, pair) arcs between words.
+
+    Each word's inversion word and occurrence vector are built at most
+    once, from that word alone, never by moving along an arc.
+    """
+    words = [check_word(w, matrix) for w in words]
+    invs = [inversion_word(w, matrix) for w in words]
+    vectors = {}
+
+    def arc_result(a: int, b: int, pair: GenPair) -> StepResult:
+        try:
+            cert = _certificate(words[a], words[b], invs[a], invs[b], pair, matrix)
+        except AssertionError as exc:
+            return StepResult(Verdict.FAIL, f"certificate: {exc}")
+        try:
+            for i in (a, b):
+                if i not in vectors:
+                    vectors[i] = occurrence_vector_of(invs[i], matrix)
+        except CapExceededError as exc:
+            return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
+        expected = vectors[a].shifted(
+            minus=ReflectionPair(cert.s_prime, cert.t_prime),
+            plus=ReflectionPair(cert.t_prime, cert.s_prime),
+        )
+        if vectors[b] == expected:
+            return StepResult(Verdict.PASS)
+        delta = vectors[b].difference(expected)
+        return StepResult(Verdict.FAIL, f"vector mismatch on {len(delta)} pair(s)")
+
+    return [arc_result(*arc) for arc in arcs]
+
+
 def verify_has_step(
     a: Sequence[int],
     b: Sequence[int],
@@ -166,30 +209,14 @@ def verify_has_step(
 ) -> StepResult:
     """Check the occurrence-vector update across one braid move.
 
-    Passes iff vector(b) = vector(a) - (s', t') + (t', s').  Raises
-    NotABraidStep when the words do not differ by the stated move.  A
-    failed certificate cross-check is a FAIL with details "certificate:
-    <message>"; a conjugation closure that hits its cap downgrades the
-    verdict to inconclusive.  Sweep orders come from the closure, so no
-    order cap applies.
+    Passes iff vector(b) = vector(a) - (s', t') + (t', s'), each vector
+    computed from its own word.  Raises NotABraidStep when the words do
+    not differ by the stated move.  A failed certificate cross-check is a
+    FAIL with details "certificate: <message>"; a conjugation closure that
+    hits its cap downgrades the verdict to inconclusive.  Sweep orders
+    come from the closure, so no order cap applies.
     """
-    try:
-        cert = find_braid_factor(a, b, pair, matrix)
-    except AssertionError as exc:
-        return StepResult(Verdict.FAIL, f"certificate: {exc}")
-    try:
-        vec_a = occurrence_vector(a, matrix)
-        vec_b = occurrence_vector(b, matrix)
-    except CapExceededError as exc:
-        return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
-    expected = vec_a.shifted(
-        minus=ReflectionPair(cert.s_prime, cert.t_prime),
-        plus=ReflectionPair(cert.t_prime, cert.s_prime),
-    )
-    if vec_b == expected:
-        return StepResult(Verdict.PASS)
-    delta = vec_b.difference(expected)
-    return StepResult(Verdict.FAIL, f"vector mismatch on {len(delta)} pair(s)")
+    return _arc_law((a, b), [(0, 1, pair)], matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +377,9 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
 
 
 def verify_arc_steps(graph: BraidGraph) -> tuple[Verdict, list[tuple[int, StepResult]]]:
-    """Run the per-arc occurrence-vector check on every arc of a graph."""
-    results: list[tuple[int, StepResult]] = []
-    for i, arc in enumerate(graph.arcs):
-        res = verify_has_step(
-            graph.vertices[arc.source],
-            graph.vertices[arc.target],
-            arc.pair,
-            graph.matrix,
-        )
-        results.append((i, res))
+    """verify_has_step on every arc, each vertex's data built once per call."""
+    arcs = [(arc.source, arc.target, arc.pair) for arc in graph.arcs]
+    results = list(enumerate(_arc_law(graph.vertices, arcs, graph.matrix)))
     return worst(r.verdict for _, r in results), results
 
 
@@ -469,6 +489,8 @@ def property_harness(
     order law, and membership in two-generated subgroups: the elements
     (uv)^(g-1) u and (uv)^g u, recomputed by powering, must be the sweep
     entries g-1 and g mod m.
+    m(s, t) caps the sweeps and order law of q (s, t) q^-1; order_cap caps
+    only the subword properties, whose pairs need not be such conjugates.
     Failures carry shrunk witnesses.  Zero failures is the expected
     outcome; anything else indicates an implementation bug.
     """
@@ -518,87 +540,83 @@ def property_harness(
             s, t = pairs[rng.randrange(len(pairs))]
             m = int(matrix.m(s, t))
             q = reduce_word(_random_word(rng, rank, conjugator_length), matrix)
+            u = Reflection(conjugate(q, gens[s]))
+            v = Reflection(conjugate(q, gens[t]))
+            sweep = dihedral_reflection_word(u, v, cap=m)
+            subgroup = dihedral_subgroup(u.element, v.element)
+            reflections = {x for x in subgroup if x.length % 2 == 1}
+            cover = {r.element for r in sweep.entries} == reflections
+            distinct_entries = len(set(sweep.entries)) == len(sweep.entries)
+            report.record(
+                "sweep_entries_distinct_cover",
+                cover and distinct_entries,
+                None
+                if cover and distinct_entries
+                else {"pair": [s, t], "q": list(q.word)},
+            )
+            rev = sweep.reversal()
+            other = dihedral_reflection_word(v, u, cap=m)
+            report.record(
+                "sweep_reversal",
+                rev.entries == other.entries,
+                None
+                if rev.entries == other.entries
+                else {"pair": [s, t], "q": list(q.word)},
+            )
+            q2 = reduce_word(_random_word(rng, rank, conjugator_length), matrix)
+            lhs = other.conjugated_by(q2)
+            rhs = sweep.conjugated_by(q2)[::-1]
+            report.record(
+                "sweep_conjugated_reversal",
+                lhs == rhs,
+                None if lhs == rhs else {"pair": [s, t], "q2": list(q2.word)},
+            )
+
+            # conjugate-pair order law: u', v' inside q D q^-1, pair
+            # produced as a conjugate of a generator pair
+            members = dihedral_cache.get((s, t))
+            if members is None:
+                members = sorted(
+                    dihedral_subgroup(gens[s], gens[t]), key=lambda e: e.word
+                )
+                dihedral_cache[(s, t)] = members
+            d = members[rng.randrange(len(members))]
+            x = multiply(q, d)
+            if rng.random() < 0.5:
+                pu, pv = s, t
+            else:
+                pu, pv = t, s
+            cu = conjugate(x, gens[pu])
+            cv = conjugate(x, gens[pv])
             try:
-                u = Reflection(conjugate(q, gens[s]))
-                v = Reflection(conjugate(q, gens[t]))
-                sweep = dihedral_reflection_word(u, v, cap=order_cap)
+                got = order_of_product(cu, cv, cap=m)
+                ok = got == m
             except CapExceededError:
-                sweep = None
-            if sweep is not None:
-                subgroup = dihedral_subgroup(u.element, v.element)
-                reflections = {x for x in subgroup if x.length % 2 == 1}
-                cover = {r.element for r in sweep.entries} == reflections
-                distinct_entries = len(set(sweep.entries)) == len(sweep.entries)
-                report.record(
-                    "sweep_entries_distinct_cover",
-                    cover and distinct_entries,
-                    None
-                    if cover and distinct_entries
-                    else {"pair": [s, t], "q": list(q.word)},
-                )
-                rev = sweep.reversal()
-                other = dihedral_reflection_word(v, u, cap=order_cap)
-                report.record(
-                    "sweep_reversal",
-                    rev.entries == other.entries,
-                    None
-                    if rev.entries == other.entries
-                    else {"pair": [s, t], "q": list(q.word)},
-                )
-                q2 = reduce_word(_random_word(rng, rank, conjugator_length), matrix)
-                lhs = other.conjugated_by(q2)
-                rhs = sweep.conjugated_by(q2)[::-1]
-                report.record(
-                    "sweep_conjugated_reversal",
-                    lhs == rhs,
-                    None if lhs == rhs else {"pair": [s, t], "q2": list(q2.word)},
-                )
+                ok = False
+            report.record(
+                "conjugate_pair_order",
+                ok,
+                None
+                if ok
+                else {"pair": [pu, pv], "x": list(x.word), "expected": m},
+            )
 
-                # conjugate-pair order law: u', v' inside q D q^-1, pair
-                # produced as a conjugate of a generator pair
-                members = dihedral_cache.get((s, t))
-                if members is None:
-                    members = sorted(
-                        dihedral_subgroup(gens[s], gens[t]), key=lambda e: e.word
-                    )
-                    dihedral_cache[(s, t)] = members
-                d = members[rng.randrange(len(members))]
-                x = multiply(q, d)
-                if rng.random() < 0.5:
-                    pu, pv = s, t
-                else:
-                    pu, pv = t, s
-                cu = conjugate(x, gens[pu])
-                cv = conjugate(x, gens[pv])
-                try:
-                    got = order_of_product(cu, cv, cap=order_cap)
-                    ok = got == m
-                except CapExceededError:
-                    ok = False
-                report.record(
-                    "conjugate_pair_order",
-                    ok,
-                    None
-                    if ok
-                    else {"pair": [pu, pv], "x": list(x.word), "expected": m},
-                )
-
-                # sweep entry i is (uv)^i u and (uv)^m = e, so the powers
-                # recomputed here must land on entries g-1 and g mod m
-                g_pow = rng.randint(-2, 3)
-                uv = multiply(u.element, v.element)
-                p1 = multiply(_power(uv, g_pow - 1), u.element)
-                p2 = multiply(_power(uv, g_pow), u.element)
-                order = sweep.order
-                ok = (
-                    p1 == sweep.entries[(g_pow - 1) % order].element
-                    and p2 == sweep.entries[g_pow % order].element
-                )
-                report.record(
-                    "two_generated_subgroup_membership",
-                    ok,
-                    None if ok else {"pair": [s, t], "q": list(q.word), "power": g_pow},
-                )
+            # sweep entry i is (uv)^i u and (uv)^m = e, so the powers
+            # recomputed here must land on entries g-1 and g mod m
+            g_pow = rng.randint(-2, 3)
+            uv = multiply(u.element, v.element)
+            p1 = multiply(_power(uv, g_pow - 1), u.element)
+            p2 = multiply(_power(uv, g_pow), u.element)
+            order = sweep.order
+            ok = (
+                p1 == sweep.entries[(g_pow - 1) % order].element
+                and p2 == sweep.entries[g_pow % order].element
+            )
+            report.record(
+                "two_generated_subgroup_membership",
+                ok,
+                None if ok else {"pair": [s, t], "q": list(q.word), "power": g_pow},
+            )
 
         if len(reduced) <= 10 and len(inv.entries) >= 2:
             entries = inv.entries

@@ -255,6 +255,28 @@ class TestPairClasses:
         with pytest.raises(ElementCapExceeded):
             pair_classes(m, element_cap=100)
 
+    def test_closure_outcome_is_memoized_on_the_matrix(self, monkeypatch):
+        import coxlab.braid_graph as bg
+
+        calls = []
+        real = bg._conjugation_closure
+
+        def counted(matrix, element_cap):
+            calls.append(matrix)
+            return real(matrix, element_cap)
+
+        monkeypatch.setattr(bg, "_conjugation_closure", counted)
+        finite = catalog_matrix("B3")
+        assert bg.conjugate_pair_closure(finite) is bg.conjugate_pair_closure(finite)
+        infinite = validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]])
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ElementCapExceeded) as info:
+                bg.conjugate_pair_closure(infinite)
+            errors.append((info.value.cap, str(info.value)))
+        assert errors[0] == errors[1]
+        assert calls == [finite, infinite]
+
     def test_radius_mode_is_provisional(self):
         m = validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]])
         partition = pair_classes(m, radius=2)

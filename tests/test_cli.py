@@ -180,6 +180,7 @@ class TestCliCommands:
             ("classes",),
             ("classes", "--type", "A3", "--matrix", "nope.txt"),
             ("verify", "--matrix", "/nonexistent/file", "--all-elements"),
+            ("expr-graph", "--type", "A0", "--word", "", "--length", "2"),
         ],
     )
     def test_usage_errors_exit_three(self, args):
@@ -271,10 +272,39 @@ class TestCliCommands:
         assert invs.returncode == 0
         assert json.loads(invs.stdout)["support"] is not None
 
+    def test_capped_arc_law_bytes_are_pinned(self, tmp_path):
+        # the closure of this infinite group hits its cap, so every arc
+        # check is inconclusive
+        path = tmp_path / "m.txt"
+        path.write_text("rank 3\n1 3 inf\n3 1 3\ninf 3 1\n")
+        result = run_cli(
+            "verify", "--matrix", str(path), "--all-elements",
+            "--max-length", "5", "--radius", "2",
+        )
+        assert result.returncode == 2
+        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == (
+            "456b2429bd7e61c176ca79c26653da6d0a71270f7835db8fc7ccbaef2ec1859b"
+        )
+
+    def test_internal_error_exits_four(self, monkeypatch, capsys):
+        import coxlab.cli
+
+        def broken(graph, partition):
+            raise ValueError("graph is not connected")
+
+        monkeypatch.setattr(coxlab.cli, "verify_parity", broken)
+        assert coxlab.cli.main(["verify", "--type", "A3", "--word", "1 2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ValueError: graph is not connected" in captured.err
+
     def test_verdict_exit_mapping(self):
-        from coxlab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, _verdict_exit
+        from coxlab.cli import (
+            EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, _verdict_exit,
+        )
         from coxlab import Verdict
 
         assert _verdict_exit(Verdict.PASS) == EXIT_PASS == 0
         assert _verdict_exit(Verdict.FAIL) == EXIT_FAIL == 1
         assert _verdict_exit(Verdict.INCONCLUSIVE) == EXIT_INCONCLUSIVE == 2
+        assert (EXIT_USAGE, EXIT_INTERNAL) == (3, 4)

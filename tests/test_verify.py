@@ -146,6 +146,52 @@ class TestVerifyHasStep:
             "certificate: braid move did not reverse the inversion-word factor"
         )
 
+    def test_graph_certificate_failure_is_a_fail_verdict(self, monkeypatch):
+        # the per-graph path must still check b against b's own inversion
+        # word: here b's comes back as a's, which breaks both arcs
+        import coxlab.verify
+        from coxlab import inversion_word
+
+        a = (1, 0, 2)
+        b = (1, 2, 0)
+
+        def unreversed(word, matrix):
+            return inversion_word(a if tuple(word) == b else word, matrix)
+
+        monkeypatch.setattr(coxlab.verify, "inversion_word", unreversed)
+        graph = reduced_graph(reduce_word(a, A3))
+        assert graph.vertices == (a, b)
+        verdict, results = verify_arc_steps(graph)
+        assert verdict is Verdict.FAIL
+        assert [(i, r.verdict, r.details) for i, r in results] == [
+            (0, Verdict.FAIL,
+             "certificate: braid move did not reverse the inversion-word factor"),
+            (1, Verdict.FAIL,
+             "certificate: factor endpoints disagree with conjugated generators"),
+        ]
+
+    def test_each_vertex_is_built_once_from_its_own_word(self, monkeypatch):
+        import coxlab.verify
+        from coxlab.inversions import inversion_word, occurrence_vector_of
+
+        built: list[tuple] = []
+        vectors: list[tuple] = []
+
+        def counted_inversion_word(word, matrix):
+            built.append(tuple(word))
+            return inversion_word(word, matrix)
+
+        def counted_vector(inv, matrix):
+            vectors.append(inv.source)
+            return occurrence_vector_of(inv, matrix)
+
+        monkeypatch.setattr(coxlab.verify, "inversion_word", counted_inversion_word)
+        monkeypatch.setattr(coxlab.verify, "occurrence_vector_of", counted_vector)
+        graph = reduced_graph(reduce_word((1, 0, 1, 3), A4))
+        verdict, results = verify_arc_steps(graph)
+        assert verdict is Verdict.PASS and len(results) == len(graph.arcs) == 16
+        assert sorted(built) == sorted(vectors) == sorted(graph.vertices)
+
     @pytest.mark.slow
     def test_every_arc_of_the_b4_longest_element(self):
         # 24 024 reduced words: the standard Young tableaux of the 4x4 square
@@ -343,6 +389,19 @@ class TestPropertyHarness:
         a = property_harness(A3, samples=50, seed=5)
         b = property_harness(A3, samples=50, seed=5)
         assert a.checks == b.checks and a.failures == b.failures
+
+    def test_bond_above_the_order_cap_runs_every_sweep_property(self):
+        # (u, v) = q (s, t) q^-1 has order m(s, t) = 65, above order_cap
+        report = property_harness(catalog_matrix("I2_65"), samples=30, seed=0)
+        assert report.passed
+        for name in (
+            "sweep_entries_distinct_cover",
+            "sweep_reversal",
+            "sweep_conjugated_reversal",
+            "conjugate_pair_order",
+            "two_generated_subgroup_membership",
+        ):
+            assert report.checks[name] == 30, name
 
     def test_membership_property_catches_a_rotated_sweep(self, monkeypatch):
         import coxlab.verify
