@@ -44,8 +44,6 @@ from .core import (
 )
 from .inversions import (
     InversionWord,
-    OccurrenceVector,
-    ReflectionPair,
     inversion_word,
     occurrence_bit,
     occurrence_vector,

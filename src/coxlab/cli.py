@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from contextlib import ExitStack
 
 from .braid_graph import (
     ElementCapExceeded,
@@ -164,18 +165,31 @@ def cmd_classes(args) -> int:
 
 
 def _write_graph(args, graph, partition, word, report) -> None:
-    """A graph document to stdout and --json, the graph as DOT to --dot."""
+    """A graph document to stdout and --json, the graph as DOT to --dot.
+
+    The output files are opened before stdout is written, so a bad path is
+    a usage error that leaves stdout empty.
+    """
     payload = graph_to_json(graph, partition)
     payload["element"] = element_to_json(graph.element, source=word)
     payload["report"] = None if report is None else parity_report_to_json(report)
     text = dump_json(payload)
-    sys.stdout.write(text)
+    outputs = {}
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        outputs[args.json] = text
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_dot(graph))
+        outputs[args.dot] = graph_to_dot(graph)  # DOT wins a path given twice
+    with ExitStack() as stack:
+        try:
+            handles = [
+                (stack.enter_context(open(path, "w", encoding="utf-8")), content)
+                for path, content in outputs.items()
+            ]
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}") from exc
+        sys.stdout.write(text)
+        for handle, content in handles:
+            handle.write(content)
 
 
 def cmd_graph(args) -> int:
@@ -245,15 +259,8 @@ def cmd_invs(args) -> int:
         try:
             vec = occurrence_vector_of(inv, matrix)
             payload["support"] = [
-                {
-                    "u": surface_word(pair.u.element.word),
-                    "v": surface_word(pair.v.element.word),
-                    "value": value,
-                }
-                for pair, value in sorted(
-                    vec.coords.items(),
-                    key=lambda kv: (kv[0].u.element.word, kv[0].v.element.word),
-                )
+                {"u": surface_word(u), "v": surface_word(v), "value": 1}
+                for u, v in sorted(vec)
             ]
         except CapExceededError as exc:
             payload["support"] = None

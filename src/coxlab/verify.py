@@ -52,7 +52,6 @@ from .core import (
 )
 from .inversions import (
     InversionWord,
-    ReflectionPair,
     inversion_word,
     occurrence_bit,
     occurrence_vector_of,
@@ -189,14 +188,16 @@ def _arc_law(
                     vectors[i] = occurrence_vector_of(invs[i], matrix)
         except CapExceededError as exc:
             return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
-        expected = vectors[a].shifted(
-            minus=ReflectionPair(cert.s_prime, cert.t_prime),
-            plus=ReflectionPair(cert.t_prime, cert.s_prime),
-        )
-        if vectors[b] == expected:
+        va, vb = vectors[a], vectors[b]
+        st = (cert.s_prime.element.word, cert.t_prime.element.word)
+        ts = st[::-1]
+        if st in va and ts not in va and vb == (va - {st}) | {ts}:
             return StepResult(Verdict.PASS)
-        delta = vectors[b].difference(expected)
-        return StepResult(Verdict.FAIL, f"vector mismatch on {len(delta)} pair(s)")
+        # pairs where vector(b) differs from vector(a) - (s', t') + (t', s')
+        mismatched = sum(
+            (k in vb) != (k in va) - (k == st) + (k == ts) for k in va | vb | {st, ts}
+        )
+        return StepResult(Verdict.FAIL, f"vector mismatch on {mismatched} pair(s)")
 
     return [arc_result(*arc) for arc in arcs]
 
@@ -210,8 +211,10 @@ def verify_has_step(
     """Check the occurrence-vector update across one braid move.
 
     Passes iff vector(b) = vector(a) - (s', t') + (t', s'), each vector
-    computed from its own word.  Raises NotABraidStep when the words do
-    not differ by the stated move.  A failed certificate cross-check is a
+    computed from its own word.  The vectors are 0/1, kept as supports A
+    and B, so this reads: (s', t') in A, (t', s') not in A and
+    B = A - {(s', t')} | {(t', s')}.  Raises NotABraidStep when the words
+    do not differ by the stated move.  A failed certificate cross-check is a
     FAIL with details "certificate: <message>"; a conjugation closure that
     hits its cap downgrades the verdict to inconclusive.  Sweep orders
     come from the closure, so no order cap applies.
@@ -634,8 +637,8 @@ def property_harness(
                     count <= 1,
                     None if count <= 1 else {"word": list(reduced), "count": count},
                 )
-                bit_uv = occurrence_bit(ReflectionPair(u, v), inv, cap=order_cap)
-                bit_vu = occurrence_bit(ReflectionPair(v, u), inv, cap=order_cap)
+                bit_uv = occurrence_bit(u, v, inv, cap=order_cap)
+                bit_vu = occurrence_bit(v, u, inv, cap=order_cap)
                 report.record(
                     "opposite_subwords_exclusive",
                     not (bit_uv == 1 and bit_vu == 1),

@@ -187,6 +187,31 @@ class TestCliCommands:
         result = run_cli(*args)
         assert result.returncode == 3
 
+    @pytest.mark.parametrize(
+        "args, flag, name",
+        [
+            (("graph", "--type", "A3", "--word", "1 2"), "--json", "x.json"),
+            (("expr-graph", "--type", "A3", "--word", "1 2", "--length", "4"),
+             "--dot", "x.dot"),
+        ],
+    )
+    def test_bad_output_path_is_a_usage_error(self, tmp_path, args, flag, name):
+        # the output file is opened before anything goes to stdout
+        result = run_cli(*args, flag, str(tmp_path / "missing" / name))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+
+    def test_output_path_given_twice_keeps_the_dot(self, tmp_path):
+        # the DOT is written after the JSON, so it wins a shared path
+        path = tmp_path / "g.txt"
+        result = run_cli(
+            "graph", "--type", "A3", "--word", "1 2", "--json", str(path), "--dot", str(path)
+        )
+        assert result.returncode == 0
+        assert path.read_text().startswith("digraph")
+        assert json.loads(result.stdout)["element"]["word"] == [1, 2]
+
     def test_all_elements_on_infinite_group_needs_max_length(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("rank 2\n1 inf\ninf 1\n")

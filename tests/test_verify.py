@@ -5,7 +5,6 @@ import pytest
 
 from coxlab import (
     NotABraidStep,
-    ReflectionPair,
     Verdict,
     catalog_matrix,
     enumerate_elements,
@@ -97,11 +96,8 @@ class TestVerifyHasStep:
         result = verify_has_step(a, b, (0, 1), matrix)
         assert result.verdict is Verdict.PASS
         # support flips from {(s, t)} to {(t, s)}
-        from coxlab import generator_reflection
-
-        u, v = generator_reflection(matrix, 0), generator_reflection(matrix, 1)
-        assert occurrence_vector(a, matrix).coords == {ReflectionPair(u, v): 1}
-        assert occurrence_vector(b, matrix).coords == {ReflectionPair(v, u): 1}
+        assert occurrence_vector(a, matrix) == {((0,), (1,))}
+        assert occurrence_vector(b, matrix) == {((1,), (0,))}
 
     def test_every_arc_in_s4(self):
         for element in enumerate_elements(A3):
@@ -192,6 +188,58 @@ class TestVerifyHasStep:
         assert verdict is Verdict.PASS and len(results) == len(graph.arcs) == 16
         assert sorted(built) == sorted(vectors) == sorted(graph.vertices)
 
+    @pytest.mark.parametrize(
+        "matrix,a,b",
+        [(catalog_matrix("I2_3"), (0, 1, 0), (1, 0, 1)),
+         (I2_4, (0, 1, 0, 1), (1, 0, 1, 0))],
+        ids=["I2_3", "I2_4"],
+    )
+    @pytest.mark.parametrize(
+        "vector_of,mismatches",
+        [(lambda a, b: {a: b, b: a}, 2), (lambda a, b: {a: a, b: a}, 2),
+         (lambda a, b: {a: a, b: ()}, 1)],
+        ids=["swapped", "b_gets_a", "b_gets_empty"],
+    )
+    def test_vector_mismatch_details(self, monkeypatch, matrix, a, b, vector_of, mismatches):
+        # each word gets the vector of another word, so the law must fail
+        # and count the pairs where vector(b) differs from the expected one
+        import coxlab.verify
+        from coxlab.inversions import inversion_word, occurrence_vector_of
+
+        other = vector_of(a, b)
+
+        def wrong_vector(inv, matrix):
+            return occurrence_vector_of(inversion_word(other[inv.source], matrix), matrix)
+
+        monkeypatch.setattr(coxlab.verify, "occurrence_vector_of", wrong_vector)
+        result = verify_has_step(a, b, (0, 1), matrix)
+        assert result.verdict is Verdict.FAIL
+        assert result.details == f"vector mismatch on {mismatches} pair(s)"
+
+    def test_graph_vector_mismatch_details(self, monkeypatch):
+        # vertex i gets the vector of vertex i+1 mod n: every arc fails
+        import coxlab.verify
+        from coxlab.inversions import inversion_word, occurrence_vector_of
+
+        graph = reduced_graph(reduce_word((0, 1, 0, 2, 1, 0), A3))
+        n = len(graph.vertices)
+        shifted = {w: graph.vertices[(i + 1) % n] for i, w in enumerate(graph.vertices)}
+
+        def wrong_vector(inv, matrix):
+            return occurrence_vector_of(inversion_word(shifted[inv.source], matrix), matrix)
+
+        monkeypatch.setattr(coxlab.verify, "occurrence_vector_of", wrong_vector)
+        verdict, results = verify_arc_steps(graph)
+        assert verdict is Verdict.FAIL
+        assert len(results) == 36
+        assert all(r.verdict is Verdict.FAIL for _, r in results)
+        assert Counter(r.details for _, r in results) == {
+            "vector mismatch on 4 pair(s)": 24,
+            "vector mismatch on 12 pair(s)": 8,
+            "vector mismatch on 10 pair(s)": 2,
+            "vector mismatch on 14 pair(s)": 2,
+        }
+
     @pytest.mark.slow
     def test_every_arc_of_the_b4_longest_element(self):
         # 24 024 reduced words: the standard Young tableaux of the 4x4 square
@@ -256,10 +304,10 @@ class TestTelescoping:
                     cert = find_braid_factor(
                         g.vertices[arc.source], g.vertices[arc.target], arc.pair, matrix
                     )
-                    vec = vec.shifted(
-                        minus=ReflectionPair(cert.s_prime, cert.t_prime),
-                        plus=ReflectionPair(cert.t_prime, cert.s_prime),
-                    )
+                    st = (cert.s_prime.element.word, cert.t_prime.element.word)
+                    ts = st[::-1]
+                    assert st in vec and ts not in vec
+                    vec = (vec - {st}) | {ts}
                 assert vec == start
 
 
