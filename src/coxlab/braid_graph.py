@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import (
+    DEFAULT_ELEMENT_CAP,
     CapExceededError,
     CoxeterMatrix,
     Element,
@@ -23,16 +24,16 @@ from .core import (
     Word,
     alternating_word,
     braid_neighbors,
+    cayley_table,
     check_word,
     conjugate,
     generator_element,
+    group_order,
     identity_element,
     multiply,
 )
 
 GenPair = tuple[int, int]
-
-DEFAULT_ELEMENT_CAP = 200_000
 
 
 class ElementCapExceeded(CapExceededError):
@@ -116,15 +117,20 @@ def _conjugation_orbit(
     (u, v) = q . pair . q^-1, in discovery order.  With a radius r only
     conjugating words of length <= r are tried.  With radius=None the
     orbit is closed, and ElementCapExceeded is raised when the `closed`
-    states of earlier orbits plus this orbit reach the cap, or when a
-    conjugate outgrows the length guard; either signals an orbit that will
-    not close at desk scale.  The guard, the larger of 24 and the largest
-    finite bond plus one, clears every computable finite catalog closure
-    (their reflections stay short) while cutting infinite orbits off fast.
+    states of earlier orbits plus this orbit reach the cap.  A group with
+    no Cayley table (infinite, or finite but large) also has a length
+    guard, the larger of 24 and the largest finite bond plus one: a
+    conjugate longer than that raises ElementCapExceeded too, which cuts
+    infinite orbits off fast.  Its message claims an infinite orbit only
+    when the group is infinite.  A group with a table is finite, so its
+    orbits always close and need no guard.
     """
-    if radius is None:
+    length_guard = None
+    if radius is None and cayley_table(matrix) is None:
         finite_bonds = [int(matrix.m(s, t)) for s, t in finite_pairs(matrix)]
         length_guard = max(24, max(finite_bonds, default=2) + 1)
+        infinite = group_order(matrix) is None
+        claim = "orbit looks infinite" if infinite else "orbit passed the length guard"
     gens = [generator_element(matrix, i) for i in range(matrix.rank)]
     identity = identity_element(matrix)
     su, sv = gens[pair[0]], gens[pair[1]]
@@ -145,10 +151,9 @@ def _conjugation_orbit(
                         raise ElementCapExceeded(
                             element_cap, "conjugation closure exceeded element cap"
                         )
-                    if max(cu.length, cv.length) > length_guard:
+                    if length_guard is not None and max(cu.length, cv.length) > length_guard:
                         raise ElementCapExceeded(
-                            length_guard,
-                            f"conjugates exceed length {length_guard}; orbit looks infinite",
+                            length_guard, f"conjugates exceed length {length_guard}; {claim}"
                         )
                 q = multiply(g, witness)
                 orbit[st] = q

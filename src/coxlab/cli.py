@@ -91,7 +91,7 @@ def _partition(matrix: CoxeterMatrix, radius: int | None):
         return pair_classes(matrix, radius=radius)
     except ElementCapExceeded as exc:
         raise UsageError(
-            f"{exc}; the group looks infinite, rerun with --radius R"
+            f"{exc}; the exact closure did not finish, rerun with --radius R"
         ) from exc
 
 

@@ -2,21 +2,32 @@
 
 A group element is represented by its ShortLex-least reduced expression
 (letters are generator indices, ordered first by length, then
-lexicographically).  The word problem is solved by Tits' method: keep a
-frontier of words reachable by braid moves; whenever some reachable word
-contains an adjacent equal pair, delete that pair and start over with the
-shorter word.  Once no reachable word contains such a pair, the word is
-reduced and the frontier closure is exactly the set of its reduced
-expressions, so taking the minimum yields the canonical form.
+lexicographically).  The word problem has two exact solutions.
 
-This is exact and representation-free, at the price of being exponential
-in element length; it is meant for desk-scale experiments, not for long
-elements of large groups.  All values are immutable; per-matrix caches
-are plain dicts and safe under the GIL.
+* A finite group of at most DEFAULT_ELEMENT_CAP elements gets a Cayley
+  table, built once per matrix: Todd-Coxeter coset enumeration (HLT with
+  coincidences) of the trivial subgroup in <S | s^2, (st)^m(s,t)>, then
+  one breadth-first pass over the generators in index order, which
+  numbers the elements in (length, ShortLex) order.  A word is reduced by
+  walking it along the table.  Whether a group gets a table is decided
+  from the matrix alone, by classifying the components of its Coxeter
+  graph, before any coset is defined.
+* Every other group uses Tits' method: keep a frontier of words reachable
+  by braid moves; whenever some reachable word contains an adjacent equal
+  pair, delete that pair and start over with the shorter word.  Once no
+  reachable word contains such a pair, the word is reduced and the
+  frontier closure is exactly the set of its reduced expressions, so
+  taking the minimum yields the canonical form.  This is representation-
+  free, at the price of being exponential in element length; it is meant
+  for desk-scale experiments, not for long elements of large groups.
+
+All values are immutable; per-matrix caches are plain dicts and safe
+under the GIL.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -24,6 +35,16 @@ from typing import Iterator, Sequence
 INFINITY = math.inf
 
 DEFAULT_ORDER_CAP = 64
+
+DEFAULT_ELEMENT_CAP = 200_000
+
+# A group gets a Cayley table only when |W| times the total relator length,
+# the cost of one HLT pass over a complete table, stays below this; it keeps
+# dihedral groups with huge bonds (|W| = 2m, relator length 2m) on Tits.
+_TABLE_WORK_LIMIT = 10_000_000
+
+# Backstop only: the work limit keeps every tabled group far below it.
+_COSET_LIMIT = 2_000_000
 
 Word = tuple[int, ...]
 
@@ -60,15 +81,19 @@ class CoxeterMatrix:
     """Validated symmetric matrix over {1, 2, 3, ...} u {inf}.
 
     Hashable and compared by entries.  Instances carry per-matrix memos
-    that never affect equality: canonical forms, dihedral sweeps (keyed by
-    reflection words) and the outcome of braid_graph.conjugate_pair_closure.
+    that never affect equality: the Cayley table of a finite group (or the
+    decision that the group gets none), canonical forms found by Tits'
+    method, dihedral sweeps (keyed by reflection words) and the outcome of
+    braid_graph.conjugate_pair_closure.
     """
 
-    __slots__ = ("entries", "_hash", "_canon", "_sweeps", "_closure")
+    __slots__ = ("entries", "_hash", "_table", "_canon", "_sweeps", "_closure")
 
     def __init__(self, entries: tuple[tuple[int | float, ...], ...]):
         self.entries = entries
         self._hash = hash(entries)
+        # None until decided, then the CayleyTable or False for "no table"
+        self._table: CayleyTable | bool | None = None
         self._canon: dict[Word, Word] = {}
         self._sweeps: dict[tuple[Word, Word], DihedralReflectionWord] = {}
         self._closure: dict | CapExceededError | None = None
@@ -162,7 +187,256 @@ def _delete_square(word: Word) -> Word | None:
     return None
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class CayleyTable:
+    """The elements of a finite group and their right multiplication.
+
+    words[i] is the canonical word of element i, in (length, ShortLex)
+    order, so words[0] is the identity; index inverts words; right[i][s]
+    is the id of element i times generator s.
+    """
+
+    words: list[Word]
+    index: dict[Word, int]
+    right: list[tuple[int, ...]]
+
+    def walk(self, start: int, word: Word) -> Word:
+        """The canonical word of element `start` times `word`."""
+        x = start
+        right = self.right
+        for s in word:
+            x = right[x][s]
+        return self.words[x]
+
+
+def _arm(neighbors: dict[int, list[int]], start: int, prev: int | None) -> list[int]:
+    """The nodes of a path in the Coxeter graph, from `start` away from `prev`."""
+    arm = [start]
+    while True:
+        ahead = [u for u in neighbors[arm[-1]] if u != prev]
+        if not ahead:
+            return arm
+        prev = arm[-1]
+        arm.append(ahead[0])
+
+
+def _component_order(matrix: CoxeterMatrix, nodes: list[int]) -> int | None:
+    """|W| of the irreducible group on one component of the Coxeter graph.
+
+    None when that group is infinite.  The finite ones are A_n, B_n, D_n,
+    E6-8, F4, H3, H4 and I2(m) (Coxeter 1935).
+    """
+    k = len(nodes)
+    if k == 1:
+        return 2
+    neighbors: dict[int, list[int]] = {v: [] for v in nodes}
+    bonds = []
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            if matrix.m(a, b) != 2:
+                neighbors[a].append(b)
+                neighbors[b].append(a)
+                bonds.append(matrix.m(a, b))
+    if k == 2:
+        return None if bonds[0] == INFINITY else 2 * bonds[0]
+    bonds.sort()
+    # a tree with at most one bond above 3, and none above 5
+    if len(bonds) != k - 1 or bonds[-1] > 5 or bonds[-2] > 3:
+        return None
+    branches = [v for v in nodes if len(neighbors[v]) > 2]
+    if branches:
+        branch = branches[0]
+        if len(branches) > 1 or len(neighbors[branch]) > 3 or bonds[-1] > 3:
+            return None
+        p, q, r = sorted(len(_arm(neighbors, u, branch)) for u in neighbors[branch])
+        if p == q == 1:
+            return 2 ** (k - 1) * math.factorial(k)  # D_k
+        if (p, q) == (1, 2):
+            return {2: 51_840, 3: 2_903_040, 4: 696_729_600}.get(r)  # E6, E7, E8
+        return None
+    path = _arm(neighbors, next(v for v in nodes if len(neighbors[v]) == 1), None)
+    labels = [matrix.m(a, b) for a, b in zip(path, path[1:])]
+    top = max(labels)
+    at_end = labels[0] == top or labels[-1] == top
+    if top == 3:
+        return math.factorial(k + 1)  # A_k
+    if top == 4 and at_end:
+        return 2 ** k * math.factorial(k)  # B_k
+    if top == 4 and k == 4:
+        return 1_152  # F4
+    if top == 5 and at_end:
+        return {3: 120, 4: 14_400}.get(k)  # H3, H4
+    return None
+
+
+def group_order(matrix: CoxeterMatrix) -> int | None:
+    """|W|, the product over the components of the Coxeter graph; None if infinite."""
+    order = 1
+    seen: set[int] = set()
+    for root in range(matrix.rank):
+        if root in seen:
+            continue
+        component = [root]
+        seen.add(root)
+        for v in component:
+            for u in range(matrix.rank):
+                if u not in seen and matrix.m(v, u) != 2:
+                    seen.add(u)
+                    component.append(u)
+        factor = _component_order(matrix, component)
+        if factor is None:
+            return None
+        order *= factor
+    return order
+
+
+def _enumerate_cosets(rank: int, relators: list[Word]) -> list[list[int]] | None:
+    """HLT coset enumeration of the trivial subgroup, generators involutions.
+
+    Returns act with act[s][c] = c.s on the live cosets (coset 0 is the
+    subgroup), or None once more than _COSET_LIMIT cosets are defined.
+    A generator is its own inverse, so one column per generator suffices and
+    every definition and deduction sets c.s = d and d.s = c together.
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 5.1.)
+    """
+    act = [[-1] for _ in range(rank)]
+    parent = [0]  # union-find over cosets; c is live iff parent[c] == c
+
+    def define(c: int, s: int) -> None:
+        d = len(parent)
+        parent.append(d)
+        for col in act:
+            col.append(-1)
+        act[s][c] = d
+        act[s][d] = c
+
+    def find(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def coincidence(a: int, b: int) -> None:
+        dead: list[int] = []
+
+        def merge(k: int, l: int) -> None:
+            k, l = find(k), find(l)
+            if k != l:
+                k, l = min(k, l), max(k, l)
+                parent[l] = k
+                dead.append(l)
+
+        merge(a, b)
+        for g in dead:  # grows while it is walked
+            for col in act:
+                d = col[g]
+                if d < 0:
+                    continue
+                col[d] = -1
+                mu, nu = find(g), find(d)
+                if col[mu] >= 0:
+                    merge(nu, col[mu])
+                elif col[nu] >= 0:
+                    merge(mu, col[nu])
+                else:
+                    col[mu] = nu
+                    col[nu] = mu
+
+    c = 0
+    while c < len(parent):
+        if len(parent) > _COSET_LIMIT:
+            return None
+        for r in relators:
+            if parent[c] != c:
+                break
+            # scan r at c from both ends, filling the table until it closes
+            f, i, b, j = c, 0, c, len(r) - 1
+            while True:
+                while i <= j and act[r[i]][f] >= 0:
+                    f = act[r[i]][f]
+                    i += 1
+                while j >= i and act[r[j]][b] >= 0:
+                    b = act[r[j]][b]
+                    j -= 1
+                if j < i:
+                    # the scan closed: it must end where it started
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                if i == j:
+                    act[r[i]][f] = b
+                    act[r[i]][b] = f
+                    break
+                define(f, r[i])
+        if parent[c] == c:
+            for s in range(rank):
+                if act[s][c] < 0:
+                    define(c, s)
+        c += 1
+    return act
+
+
+def _build_table(rank: int, relators: list[Word], order: int) -> CayleyTable | None:
+    """Enumerate cosets, then number the elements by one BFS from the identity.
+
+    Generators are tried in index order from elements taken in discovery
+    order, so each element is first reached along its ShortLex-least reduced
+    word and the ids come out in (length, ShortLex) order.
+    """
+    act = _enumerate_cosets(rank, relators)
+    if act is None:
+        return None
+    words: list[Word] = [()]
+    cosets = [0]
+    ids = {0: 0}
+    right = []
+    for i, c in enumerate(cosets):  # grows while it is walked
+        row = []
+        for s in range(rank):
+            d = act[s][c]
+            j = ids.get(d)
+            if j is None:
+                j = ids[d] = len(cosets)
+                cosets.append(d)
+                words.append(words[i] + (s,))
+            row.append(j)
+        right.append(tuple(row))
+    if len(words) != order:
+        raise AssertionError(f"coset enumeration gave {len(words)} elements, not {order}")
+    return CayleyTable(words, {w: i for i, w in enumerate(words)}, right)
+
+
+def cayley_table(matrix: CoxeterMatrix) -> CayleyTable | None:
+    """The group's Cayley table, built on first use and kept on the matrix.
+
+    Decided from the matrix alone, before any coset is defined: a group
+    gets a table when it is finite with at most DEFAULT_ELEMENT_CAP
+    elements and one enumeration pass (|W| times the total relator length)
+    stays within _TABLE_WORK_LIMIT.  Otherwise this is None and the word
+    problem runs on Tits' method.
+    """
+    if matrix._table is None:
+        order = group_order(matrix)
+        table = None
+        if order is not None and order <= DEFAULT_ELEMENT_CAP:
+            n = matrix.rank
+            relators = [
+                alternating_word(s, t, 2 * int(matrix.m(s, t)))
+                for s in range(n)
+                for t in range(s + 1, n)
+            ]
+            if order * sum(map(len, relators)) <= _TABLE_WORK_LIMIT:
+                table = _build_table(n, relators, order)
+        matrix._table = table or False
+    return matrix._table or None
+
+
 def _canonical(matrix: CoxeterMatrix, word: Word) -> Word:
+    table = cayley_table(matrix)
+    if table is not None:
+        return word if word in table.index else table.walk(0, word)
     cache = matrix._canon
     hit = cache.get(word)
     if hit is not None:
@@ -263,9 +537,14 @@ def reduced_expressions(element: Element) -> frozenset[Word]:
 
 
 def multiply(a: Element, b: Element) -> Element:
-    if a.matrix != b.matrix:
+    matrix = a.matrix
+    if matrix is not b.matrix and matrix != b.matrix:
         raise ValueError("elements live over different Coxeter matrices")
-    return Element(a.matrix, _canonical(a.matrix, a.word + b.word))
+    table = cayley_table(matrix)
+    start = None if table is None else table.index.get(a.word)
+    if start is None:
+        return Element(matrix, _canonical(matrix, a.word + b.word))
+    return Element(matrix, table.walk(start, b.word))
 
 
 def inverse(a: Element) -> Element:
@@ -405,22 +684,32 @@ def dihedral_subgroup(u: Element, v: Element, cap: int = 4096) -> frozenset[Elem
 def enumerate_elements(
     matrix: CoxeterMatrix,
     max_length: int | None = None,
-    cap: int = 200_000,
+    cap: int = DEFAULT_ELEMENT_CAP,
     length_guard: int = 128,
 ) -> list[Element]:
-    """Elements in (length, ShortLex) order via BFS over right multiplication.
+    """Elements in (length, ShortLex) order, up to max_length when given.
 
-    Without max_length the group must be finite; the cap bounds the element
-    count and the length guard cuts off groups whose words keep growing
-    (every desk-scale finite group tops out well below it).
+    A group with a Cayley table lists the table's elements.  Any other
+    group is enumerated breadth first over right multiplication with Tits'
+    method; without max_length it must then be finite, and the length
+    guard cuts off groups whose words keep growing.  CapExceededError when
+    more than `cap` elements would be listed.
     """
+    table = cayley_table(matrix)
+    if table is not None:
+        words = table.words
+        if max_length is not None:
+            words = list(itertools.takewhile(lambda w: len(w) <= max_length, words))
+        if len(words) > cap:
+            raise CapExceededError(cap, "element enumeration exceeded cap")
+        return [Element(matrix, w) for w in words]
     seen = {(): None}
     order: list[Word] = [()]
     frontier: list[Word] = [()]
     while frontier:
         if max_length is None and len(frontier[0]) >= length_guard:
             raise CapExceededError(
-                length_guard, f"element lengths exceed {length_guard}; group looks infinite"
+                length_guard, f"element lengths passed the length guard {length_guard}"
             )
         nxt = []
         for w in frontier:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import coxlab.braid_graph as bg
 from coxlab import (
     ElementCapExceeded,
     INFINITY,
@@ -234,7 +235,7 @@ class TestPairClasses:
         ]
 
     def test_exact_witnesses_verify(self):
-        for name in ("A3", "A4", "B3", "I2_3", "I2_4", "H3"):
+        for name in ("A3", "A4", "B3", "I2_3", "I2_4", "H3", "F4", "H4"):
             matrix = catalog_matrix(name)
             partition = pair_classes(matrix)
             for cls in partition.classes:
@@ -244,6 +245,37 @@ class TestPairClasses:
                 for member, q in cls.witnesses.items():
                     assert conjugate(q, rs) == generator_element(matrix, member[0])
                     assert conjugate(q, rt) == generator_element(matrix, member[1])
+
+    def test_h4_closes_exactly(self):
+        # H4's reflections reach length 45, past the length guard of groups
+        # without a Cayley table
+        h4 = catalog_matrix("H4")
+        exact = pair_classes(h4)
+        assert exact.exact and len(exact.classes) == 3
+        assert len(bg.conjugate_pair_closure(h4)) == 2820
+        exact_index = {p: c.index for c in exact.classes for p in c.pairs}
+        for radius in range(7):
+            provisional = pair_classes(h4, radius=radius)
+            for cls in provisional.classes:
+                assert len({exact_index[p] for p in cls.pairs}) == 1
+        # the radius partition has stopped merging by radius 6
+        assert sorted(c.pairs for c in provisional.classes) == sorted(
+            c.pairs for c in exact.classes
+        )
+
+    @pytest.mark.slow
+    def test_length_guard_of_a_finite_group_without_a_table(self):
+        # H4 on Tits' method alone: its reflections reach length 45, so the
+        # closure stops at the guard, and the message must not call the
+        # finite group infinite
+        from coxlab.core import CoxeterMatrix
+
+        h4 = CoxeterMatrix(catalog_matrix("H4").entries)
+        h4._table = False
+        with pytest.raises(ElementCapExceeded) as info:
+            pair_classes(h4)
+        assert info.value.cap == 24
+        assert str(info.value) == "conjugates exceed length 24; orbit passed the length guard"
 
     def test_finite_pairs_excludes_infinite_bonds(self):
         m = validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]])

@@ -223,6 +223,15 @@ class TestCliCommands:
         )
         assert bounded.returncode == 0
 
+    def test_closure_past_the_length_guard_asks_for_a_radius(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("rank 3\n1 3 inf\n3 1 3\ninf 3 1\n")
+        result = run_cli("classes", "--matrix", str(path))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "conjugates exceed length 24; orbit looks infinite" in result.stderr
+        assert "rerun with --radius R" in result.stderr
+
     def test_deterministic_output(self):
         a = run_cli("graph", "--type", "A4", "--word", "2 1 2 4")
         b = run_cli("graph", "--type", "A4", "--word", "2 1 2 4")
@@ -279,6 +288,8 @@ class TestCliCommands:
              "76189dc3495da90dc9d8d7f74222d5ea0d4999f3c63ea6dc589f5df9c2d4679e"),
             (("invs", "--type", "I2_7", "--word", "1 2 1 2 1 2 1"), 0,
              "d080671dd3c7399ed2d8f5dbe0d33b834f6ecc15648aa4f4203c7402c202ec94"),
+            (("classes", "--type", "H4"), 0,
+             "af9c4c9d72935e15eda954f22532d3636216a58c9f06dc48c4ca759ceaf3acc9"),
         ],
     )
     def test_output_bytes_are_pinned(self, args, code, digest):

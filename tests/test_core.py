@@ -25,7 +25,8 @@ from coxlab import (
     reduced_expressions,
     validate_matrix,
 )
-from coxlab.core import dihedral_subgroup
+from coxlab.catalog import _from_bonds
+from coxlab.core import CoxeterMatrix, _canonical_search, cayley_table, dihedral_subgroup
 
 from oracles import dihedral_oracle, signed_oracle, symmetric_oracle
 
@@ -264,6 +265,139 @@ class TestEnumerateElements:
         m = validate_matrix([[1, INFINITY], [INFINITY, 1]])
         with pytest.raises(CapExceededError):
             enumerate_elements(m, cap=50)
+
+    @pytest.mark.parametrize(
+        "name,count,longest",
+        [("F4", 1152, 24), ("H4", 14400, 60), ("I2_128", 256, 128), ("I2_200", 400, 200)],
+    )
+    def test_pinned_group_orders(self, name, count, longest):
+        # I2(128) and I2(200) are finite although their words pass the
+        # Tits path's length guard of 128
+        elements = enumerate_elements(catalog_matrix(name))
+        assert len(elements) == count
+        assert elements[-1].length == longest
+
+    @pytest.mark.parametrize("max_length", [None, 2, 4])
+    def test_table_cap_and_truncation_match_tits(self, max_length):
+        tits = _without_table(A3)
+        full = len(enumerate_elements(A3, max_length=max_length))
+        assert enumerate_elements(A3, max_length=max_length, cap=full) == enumerate_elements(
+            tits, max_length=max_length, cap=full
+        )
+        for matrix in (A3, tits):
+            with pytest.raises(CapExceededError):
+                enumerate_elements(matrix, max_length=max_length, cap=full - 1)
+
+
+def _without_table(matrix):
+    """A copy of the matrix whose word problem runs on Tits' method only."""
+    copy = CoxeterMatrix(matrix.entries)
+    copy._table = False
+    return copy
+
+
+class TestCayleyTable:
+    """The Todd-Coxeter table against Tits' method and the concrete models."""
+
+    @pytest.mark.parametrize("name", ["A4", "B3", "H3", "D4", "B4"])
+    def test_every_element_and_random_words_match_tits(self, name):
+        matrix = catalog_matrix(name)
+        tits = _without_table(matrix)
+        words = cayley_table(matrix).words
+        assert words == sorted(words, key=lambda w: (len(w), w))
+        for word in words:
+            assert _canonical_search(tits, word) == word
+        rng = random.Random(17)
+        for _ in range(300):
+            # up to twice the longest length, so most words are not reduced
+            w = tuple(
+                rng.randrange(matrix.rank) for _ in range(rng.randint(0, 2 * len(words[-1])))
+            )
+            assert reduce_word(w, matrix).word == reduce_word(w, tits).word
+
+    @pytest.mark.parametrize(
+        "name,oracle",
+        [("A4", symmetric_oracle(4)), ("B4", signed_oracle(4)), ("I2_7", dihedral_oracle(7))],
+    )
+    def test_multiply_and_inverse_match_oracle(self, name, oracle):
+        matrix = catalog_matrix(name)
+        rng = random.Random(23)
+        for _ in range(300):
+            w1, w2 = (
+                tuple(rng.randrange(matrix.rank) for _ in range(rng.randint(0, 20)))
+                for _ in range(2)
+            )
+            a, b = reduce_word(w1, matrix), reduce_word(w2, matrix)
+            x1, x2 = oracle.word_to_element(w1), oracle.word_to_element(w2)
+            product = multiply(a, b)
+            assert oracle.word_to_element(product.word) == oracle.compose(x1, x2)
+            assert product.word == oracle.canonical_word(oracle.compose(x1, x2))
+            assert oracle.word_to_element(inverse(a).word) == oracle.inverse(x1)
+
+    @pytest.mark.parametrize(
+        "matrix,order",
+        [
+            (validate_matrix([]), 1),
+            (catalog_matrix("A1"), 2),
+            (catalog_matrix("A5"), 720),
+            (catalog_matrix("A8"), 362880),
+            (catalog_matrix("B5"), 3840),
+            (catalog_matrix("D5"), 1920),
+            (catalog_matrix("F4"), 1152),
+            (catalog_matrix("H3"), 120),
+            (catalog_matrix("H4"), 14400),
+            (catalog_matrix("I2_9"), 18),
+            (_from_bonds(6, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (2, 5): 3}), 51840),  # E6
+            (_from_bonds(7, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (2, 6): 3}),
+             2903040),  # E7
+            (_from_bonds(4, {(2, 3): 5}), 40),  # A1 x A1 x I2(5)
+            (_from_bonds(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}), None),  # affine A2
+            (_from_bonds(3, {(0, 1): 4, (1, 2): 4}), None),  # affine C2
+            (_from_bonds(3, {(0, 1): 6, (1, 2): 3}), None),  # affine G2
+            (_from_bonds(4, {(0, 1): 3, (1, 2): 5, (2, 3): 3}), None),  # hyperbolic
+            (_from_bonds(5, {(0, 1): 3, (1, 2): 4, (2, 3): 3, (3, 4): 3}), None),  # affine F4
+            (_from_bonds(5, {(0, 4): 3, (1, 4): 3, (2, 4): 3, (3, 4): 3}), None),  # affine D4
+            (validate_matrix([[1, INFINITY], [INFINITY, 1]]), None),
+        ],
+    )
+    def test_group_order_by_classification(self, matrix, order):
+        from coxlab.core import group_order
+
+        assert group_order(matrix) == order
+
+    def test_no_coset_enumeration_without_a_table(self, monkeypatch):
+        import coxlab.core as core
+
+        calls = []
+        real = core._enumerate_cosets
+
+        def spy(rank, relators):
+            calls.append(rank)
+            return real(rank, relators)
+
+        monkeypatch.setattr(core, "_enumerate_cosets", spy)
+        for matrix in (
+            validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]]),
+            validate_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]]),
+            validate_matrix([[1, INFINITY], [INFINITY, 1]]),
+            catalog_matrix("A8"),
+            catalog_matrix("I2_2000"),  # finite, but past the work limit
+        ):
+            assert reduce_word((1, 0, 0, 1, 0), matrix).word == (0,)
+            assert cayley_table(matrix) is None
+        assert calls == []
+        assert cayley_table(catalog_matrix("B3")) is not None
+        assert calls == [3]
+
+    @pytest.mark.slow
+    def test_a5_matches_tits_on_every_element(self):
+        matrix = catalog_matrix("A5")
+        tits = _without_table(matrix)
+        words = cayley_table(matrix).words
+        assert len(words) == 720
+        assert words == sorted(words, key=lambda w: (len(w), w))
+        for word in words:
+            assert _canonical_search(tits, word) == word
 
 
 class TestOracleEquivalence:
