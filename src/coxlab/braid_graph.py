@@ -117,11 +117,12 @@ def _conjugation_orbit(
     (u, v) = q . pair . q^-1, in discovery order.  With a radius r only
     conjugating words of length <= r are tried.  With radius=None the
     orbit is closed, and ElementCapExceeded is raised when the `closed`
-    states of earlier orbits plus this orbit reach the cap.  A group with
-    no Cayley table (infinite, or finite but large) also has a length
-    guard, the larger of 24 and the largest finite bond plus one: a
-    conjugate longer than that raises ElementCapExceeded too, which cuts
-    infinite orbits off fast.  Its message claims an infinite orbit only
+    states of earlier orbits plus this orbit reach the cap.  The exact
+    closure walks the whole group, so it builds the group's Cayley table
+    if the group gets one.  A group with no table (infinite, or finite but
+    past the table's work limit) also has a length guard, the larger of 24
+    and the largest finite bond plus one: a conjugate longer than that
+    raises ElementCapExceeded too, which cuts infinite orbits off fast.  Its message claims an infinite orbit only
     when the group is infinite.  A group with a table is finite, so its
     orbits always close and need no guard.
     """

@@ -4,15 +4,21 @@ A group element is represented by its ShortLex-least reduced expression
 (letters are generator indices, ordered first by length, then
 lexicographically).  The word problem has two exact solutions.
 
-* A finite group of at most DEFAULT_ELEMENT_CAP elements gets a Cayley
-  table, built once per matrix: Todd-Coxeter coset enumeration (HLT with
-  coincidences) of the trivial subgroup in <S | s^2, (st)^m(s,t)>, then
-  one breadth-first pass over the generators in index order, which
-  numbers the elements in (length, ShortLex) order.  A word is reduced by
-  walking it along the table.  Whether a group gets a table is decided
-  from the matrix alone, by classifying the components of its Coxeter
-  graph, before any coset is defined.
-* Every other group uses Tits' method: keep a frontier of words reachable
+* A finite group whose table is cheap enough (see cayley_table) gets a
+  Cayley table, built once per matrix: Todd-Coxeter coset enumeration
+  (HLT with coincidences) of the trivial subgroup in <S | s^2,
+  (st)^m(s,t)>, then one breadth-first pass over the generators in index
+  order, which numbers the elements in (length, ShortLex) order.  A word
+  is reduced by walking it along the table.  Whether a group may get a
+  table is decided from the matrix alone, by classifying the components of
+  its Coxeter graph, before any coset is defined.  The table is built by
+  the operations that walk the whole group (enumerate_elements without
+  max_length and the exact conjugation closure); once it exists, every
+  canonical form, product and enumeration over the matrix uses it.  A
+  single word does not build it, since Tits' method answers a short word
+  sooner than a large table is built.
+* Every other group, and a single word over a matrix whose table has not
+  been built, uses Tits' method: keep a frontier of words reachable
   by braid moves; whenever some reachable word contains an adjacent equal
   pair, delete that pair and start over with the shorter word.  Once no
   reachable word contains such a pair, the word is reduced and the
@@ -39,11 +45,13 @@ DEFAULT_ORDER_CAP = 64
 DEFAULT_ELEMENT_CAP = 200_000
 
 # A group gets a Cayley table only when |W| times the total relator length,
-# the cost of one HLT pass over a complete table, stays below this; it keeps
-# dihedral groups with huge bonds (|W| = 2m, relator length 2m) on Tits.
+# the cost of one HLT pass over a complete table, stays below this.  At the
+# limit a build takes about 1 s and 20-30 MB (A7, B6, E6, I2(1581) on a
+# 2-core host, Python 3.11); the exact closure it replaces took from 44 s
+# (I2(1581)) to over 300 s (A7, E6) on Tits' method.
 _TABLE_WORK_LIMIT = 10_000_000
 
-# Backstop only: the work limit keeps every tabled group far below it.
+# Backstop only: the work limit keeps every table far below it.
 _COSET_LIMIT = 2_000_000
 
 Word = tuple[int, ...]
@@ -81,10 +89,10 @@ class CoxeterMatrix:
     """Validated symmetric matrix over {1, 2, 3, ...} u {inf}.
 
     Hashable and compared by entries.  Instances carry per-matrix memos
-    that never affect equality: the Cayley table of a finite group (or the
-    decision that the group gets none), canonical forms found by Tits'
-    method, dihedral sweeps (keyed by reflection words) and the outcome of
-    braid_graph.conjugate_pair_closure.
+    that never affect equality: the Cayley table of a finite group once a
+    whole-group operation has built it (or the decision that the group gets
+    none), canonical forms found by Tits' method, dihedral sweeps (keyed by
+    reflection words) and the outcome of braid_graph.conjugate_pair_closure.
     """
 
     __slots__ = ("entries", "_hash", "_table", "_canon", "_sweeps", "_closure")
@@ -409,18 +417,19 @@ def _build_table(rank: int, relators: list[Word], order: int) -> CayleyTable | N
 
 
 def cayley_table(matrix: CoxeterMatrix) -> CayleyTable | None:
-    """The group's Cayley table, built on first use and kept on the matrix.
+    """The group's Cayley table, built on the first call and kept on the matrix.
 
     Decided from the matrix alone, before any coset is defined: a group
-    gets a table when it is finite with at most DEFAULT_ELEMENT_CAP
-    elements and one enumeration pass (|W| times the total relator length)
-    stays within _TABLE_WORK_LIMIT.  Otherwise this is None and the word
-    problem runs on Tits' method.
+    gets a table when it is finite and one enumeration pass (|W| times the
+    total relator length) stays within _TABLE_WORK_LIMIT.  Otherwise this
+    is None and the word problem runs on Tits' method.  Only whole-group
+    operations call this; the word problem uses `matrix._table or None`,
+    the table if one has been built.
     """
     if matrix._table is None:
         order = group_order(matrix)
         table = None
-        if order is not None and order <= DEFAULT_ELEMENT_CAP:
+        if order is not None:
             n = matrix.rank
             relators = [
                 alternating_word(s, t, 2 * int(matrix.m(s, t)))
@@ -434,7 +443,7 @@ def cayley_table(matrix: CoxeterMatrix) -> CayleyTable | None:
 
 
 def _canonical(matrix: CoxeterMatrix, word: Word) -> Word:
-    table = cayley_table(matrix)
+    table = matrix._table or None
     if table is not None:
         return word if word in table.index else table.walk(0, word)
     cache = matrix._canon
@@ -540,7 +549,7 @@ def multiply(a: Element, b: Element) -> Element:
     matrix = a.matrix
     if matrix is not b.matrix and matrix != b.matrix:
         raise ValueError("elements live over different Coxeter matrices")
-    table = cayley_table(matrix)
+    table = matrix._table or None
     start = None if table is None else table.index.get(a.word)
     if start is None:
         return Element(matrix, _canonical(matrix, a.word + b.word))
@@ -689,13 +698,18 @@ def enumerate_elements(
 ) -> list[Element]:
     """Elements in (length, ShortLex) order, up to max_length when given.
 
-    A group with a Cayley table lists the table's elements.  Any other
-    group is enumerated breadth first over right multiplication with Tits'
-    method; without max_length it must then be finite, and the length
-    guard cuts off groups whose words keep growing.  CapExceededError when
-    more than `cap` elements would be listed.
+    Without max_length the whole group is listed, so its Cayley table is
+    built if it gets one (see cayley_table); with max_length an already
+    built table is used.  A group with a table lists the table's elements.
+    Otherwise the group is enumerated breadth first over right
+    multiplication with Tits' method; without max_length it must then be
+    finite, and the length guard cuts off words that keep growing.
+    CapExceededError when more than `cap` elements would be listed;
+    ValueError on a negative max_length.
     """
-    table = cayley_table(matrix)
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
+    table = cayley_table(matrix) if max_length is None else matrix._table or None
     if table is not None:
         words = table.words
         if max_length is not None:
@@ -708,9 +722,9 @@ def enumerate_elements(
     frontier: list[Word] = [()]
     while frontier:
         if max_length is None and len(frontier[0]) >= length_guard:
-            raise CapExceededError(
-                length_guard, f"element lengths passed the length guard {length_guard}"
-            )
+            infinite = group_order(matrix) is None
+            claim = "group looks infinite" if infinite else "enumeration passed the length guard"
+            raise CapExceededError(length_guard, f"element lengths exceed {length_guard}; {claim}")
         nxt = []
         for w in frontier:
             for s in range(matrix.rank):

@@ -21,6 +21,7 @@ from coxlab import (
     inverse,
     multiply,
     order_of_product,
+    pair_classes,
     reduce_word,
     reduced_expressions,
     validate_matrix,
@@ -279,6 +280,7 @@ class TestEnumerateElements:
 
     @pytest.mark.parametrize("max_length", [None, 2, 4])
     def test_table_cap_and_truncation_match_tits(self, max_length):
+        assert cayley_table(A3) is not None
         tits = _without_table(A3)
         full = len(enumerate_elements(A3, max_length=max_length))
         assert enumerate_elements(A3, max_length=max_length, cap=full) == enumerate_elements(
@@ -287,6 +289,30 @@ class TestEnumerateElements:
         for matrix in (A3, tits):
             with pytest.raises(CapExceededError):
                 enumerate_elements(matrix, max_length=max_length, cap=full - 1)
+
+    def test_negative_max_length_is_rejected_on_both_paths(self):
+        assert cayley_table(A3) is not None
+        for matrix in (A3, _without_table(A3)):
+            with pytest.raises(ValueError):
+                enumerate_elements(matrix, max_length=-1)
+
+    @pytest.mark.parametrize(
+        "matrix,claim",
+        [
+            (validate_matrix([[1, INFINITY], [INFINITY, 1]]), "group looks infinite"),
+            (validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]]),
+             "group looks infinite"),
+            (catalog_matrix("I2_2000"), "enumeration passed the length guard"),
+        ],
+        ids=["I2_inf", "rank3_inf", "I2_2000"],
+    )
+    def test_length_guard_calls_only_infinite_groups_infinite(self, matrix, claim):
+        # I2(2000) is finite but past the table's work limit, so it is
+        # enumerated on Tits' method and stops at the guard
+        with pytest.raises(CapExceededError) as info:
+            enumerate_elements(matrix, length_guard=16)
+        assert info.value.cap == 16
+        assert str(info.value) == f"element lengths exceed 16; {claim}"
 
 
 def _without_table(matrix):
@@ -321,6 +347,7 @@ class TestCayleyTable:
     )
     def test_multiply_and_inverse_match_oracle(self, name, oracle):
         matrix = catalog_matrix(name)
+        assert cayley_table(matrix) is not None
         rng = random.Random(23)
         for _ in range(300):
             w1, w2 = (
@@ -388,6 +415,36 @@ class TestCayleyTable:
         assert calls == []
         assert cayley_table(catalog_matrix("B3")) is not None
         assert calls == [3]
+
+    def test_only_whole_group_operations_build_the_table(self, monkeypatch):
+        import coxlab.core as core
+
+        calls = []
+        real = core._enumerate_cosets
+
+        def spy(rank, relators):
+            calls.append(rank)
+            return real(rank, relators)
+
+        monkeypatch.setattr(core, "_enumerate_cosets", spy)
+        b3 = catalog_matrix("B3")
+        a = reduce_word((0, 1, 0, 2), b3)
+        assert multiply(a, inverse(a)).is_identity
+        pair_classes(b3, radius=1)
+        assert len(enumerate_elements(b3, max_length=2)) == 1 + 3 + 5
+        assert calls == [] and b3._table is None
+        assert len(enumerate_elements(b3)) == 48
+        assert calls == [3]
+        pair_classes(catalog_matrix("B3"))  # the exact closure builds it too
+        assert calls == [3, 3]
+
+        def no_search(matrix, word):
+            raise AssertionError("Tits search on a matrix with a table")
+
+        # once built, the table answers every word over the matrix
+        monkeypatch.setattr(core, "_canonical_search", no_search)
+        assert reduce_word((2, 1, 0, 0, 1, 2, 1), b3).word == (1,)
+        assert multiply(a, a).word == reduce_word(a.word * 2, b3).word
 
     @pytest.mark.slow
     def test_a5_matches_tits_on_every_element(self):
