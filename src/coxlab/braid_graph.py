@@ -17,15 +17,16 @@ from typing import Mapping
 
 from .core import (
     DEFAULT_ELEMENT_CAP,
-    CapExceededError,
     CoxeterMatrix,
     Element,
+    ElementCapExceeded,
     INFINITY,
     Word,
     alternating_word,
     braid_neighbors,
     cayley_table,
     check_word,
+    closure_search_budget,
     conjugate,
     generator_element,
     group_order,
@@ -34,10 +35,6 @@ from .core import (
 )
 
 GenPair = tuple[int, int]
-
-
-class ElementCapExceeded(CapExceededError):
-    """Finite enumeration failed; use a bounded radius instead."""
 
 
 class LengthParityMismatch(ValueError):
@@ -172,16 +169,20 @@ def _conjugation_closure(
     Maps every reachable pair of reflections (u, v) to (seed pair, witness
     q with (u, v) = q . seed . q^-1, m(seed)).  Seeds are scanned in lex
     order, so each orbit is keyed by its lex-least generator pair.  The
-    element cap counts the whole closure, not one orbit.
+    element cap counts the whole closure, not one orbit.  Tits' method, the
+    word problem of a group without a Cayley table, runs under
+    closure_search_budget meanwhile: a closure whose orbit searches pass it
+    raises ElementCapExceeded too.
     """
     gens = [generator_element(matrix, i) for i in range(matrix.rank)]
     closure: dict[PairState, tuple[GenPair, Element, int]] = {}
-    for seed in finite_pairs(matrix):
-        if _pair_state(gens[seed[0]], gens[seed[1]]) in closure:
-            continue
-        m = int(matrix.m(*seed))
-        orbit = _conjugation_orbit(matrix, seed, None, element_cap, len(closure))
-        closure.update((st, (seed, q, m)) for st, q in orbit.items())
+    with closure_search_budget(matrix):
+        for seed in finite_pairs(matrix):
+            if _pair_state(gens[seed[0]], gens[seed[1]]) in closure:
+                continue
+            m = int(matrix.m(*seed))
+            orbit = _conjugation_orbit(matrix, seed, None, element_cap, len(closure))
+            closure.update((st, (seed, q, m)) for st, q in orbit.items())
     return closure
 
 

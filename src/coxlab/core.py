@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -53,6 +54,14 @@ _TABLE_WORK_LIMIT = 10_000_000
 
 # Backstop only: the work limit keeps every table far below it.
 _COSET_LIMIT = 2_000_000
+
+# While an exact conjugation closure runs, Tits' method may visit at most
+# this many braid-orbit words in all.  Neither the element cap nor the
+# length guard bounds the orbit searches of a finite group without a table:
+# A8 visits about 33 000 words a second (2-core host, Python 3.11), with
+# single orbits past 40 000 words, and its closure ran for minutes.  The
+# infinite groups of the test suite reach their length guard within 50 000.
+_CLOSURE_SEARCH_BUDGET = 200_000
 
 Word = tuple[int, ...]
 
@@ -85,17 +94,22 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
 
+class ElementCapExceeded(CapExceededError):
+    """Finite enumeration failed; use a bounded radius instead."""
+
+
 class CoxeterMatrix:
     """Validated symmetric matrix over {1, 2, 3, ...} u {inf}.
 
     Hashable and compared by entries.  Instances carry per-matrix memos
     that never affect equality: the Cayley table of a finite group once a
     whole-group operation has built it (or the decision that the group gets
-    none), canonical forms found by Tits' method, dihedral sweeps (keyed by
-    reflection words) and the outcome of braid_graph.conjugate_pair_closure.
+    none), canonical forms found by Tits' method, the element ids of the
+    arc law with their memos (see ElementIds) and the outcome of
+    braid_graph.conjugate_pair_closure.
     """
 
-    __slots__ = ("entries", "_hash", "_table", "_canon", "_sweeps", "_closure")
+    __slots__ = ("entries", "_hash", "_table", "_canon", "_ids", "_closure", "_budget")
 
     def __init__(self, entries: tuple[tuple[int | float, ...], ...]):
         self.entries = entries
@@ -103,8 +117,10 @@ class CoxeterMatrix:
         # None until decided, then the CayleyTable or False for "no table"
         self._table: CayleyTable | bool | None = None
         self._canon: dict[Word, Word] = {}
-        self._sweeps: dict[tuple[Word, Word], DihedralReflectionWord] = {}
+        self._ids: ElementIds | None = None
         self._closure: dict | CapExceededError | None = None
+        # braid-orbit words Tits' method may still visit, None for no bound
+        self._budget: int | None = None
 
     @property
     def rank(self) -> int:
@@ -155,15 +171,16 @@ def validate_matrix(raw: Sequence[Sequence[int | float]]) -> CoxeterMatrix:
 def check_word(word: Sequence[int], matrix: CoxeterMatrix) -> Word:
     """Validate letters against the matrix rank and return a tuple."""
     w = tuple(word)
+    rank = matrix.rank
     for letter in w:
-        if not 0 <= letter < matrix.rank:
+        if not 0 <= letter < rank:
             raise ValueError(f"letter {letter} out of range for rank {matrix.rank}")
     return w
 
 
 def alternating_word(s: int, t: int, count: int) -> Word:
     """(s, t, s, t, ...) with `count` letters."""
-    return tuple(s if i % 2 == 0 else t for i in range(count))
+    return ((s, t) * (count // 2 + 1))[:count]
 
 
 def braid_neighbors(word: Word, matrix: CoxeterMatrix) -> Iterator[tuple[int, tuple[int, int], Word]]:
@@ -462,8 +479,26 @@ def _canonical(matrix: CoxeterMatrix, word: Word) -> Word:
     return current
 
 
+@contextmanager
+def closure_search_budget(matrix: CoxeterMatrix) -> Iterator[None]:
+    """Bound Tits' method on the matrix to _CLOSURE_SEARCH_BUDGET orbit words.
+
+    Past the budget _canonical_search raises ElementCapExceeded; no partial
+    result is memoized.
+    """
+    matrix._budget = _CLOSURE_SEARCH_BUDGET
+    try:
+        yield
+    finally:
+        matrix._budget = None
+
+
 def _canonical_search(matrix: CoxeterMatrix, word: Word) -> Word:
-    """Tits search on one word: either delete a square or exhaust the orbit."""
+    """Tits search on one word: either delete a square or exhaust the orbit.
+
+    Each word of the orbit whose moves are explored spends one unit of the
+    matrix's budget, if closure_search_budget has set one.
+    """
     shorter = _delete_square(word)
     if shorter is not None:
         return _canonical(matrix, shorter)
@@ -472,6 +507,14 @@ def _canonical_search(matrix: CoxeterMatrix, word: Word) -> Word:
     while frontier:
         nxt = []
         for w in frontier:
+            if matrix._budget is not None:
+                matrix._budget -= 1
+                if matrix._budget < 0:
+                    raise ElementCapExceeded(
+                        _CLOSURE_SEARCH_BUDGET,
+                        "conjugation closure exceeded its search budget of "
+                        f"{_CLOSURE_SEARCH_BUDGET} braid-orbit words",
+                    )
             for _, _, y in braid_neighbors(w, matrix):
                 if y in seen:
                     continue
@@ -487,6 +530,113 @@ def _canonical_search(matrix: CoxeterMatrix, word: Word) -> Word:
     for w in seen:
         canon.setdefault(w, best)
     return best
+
+
+class ElementIds:
+    """Integer ids for the elements of one matrix, and right multiplication.
+
+    words[i] is the canonical word of element i (id 0 is the identity),
+    index inverts words, and walk(x, word) is the id of x times word.  A
+    matrix whose Cayley table has been built lends its table: ids are the
+    table's, and right[x][s] is read off it.  Any other matrix interns
+    canonical words as they are reached, and right[x][s] is -1 until
+    walk first needs it and Tits' method fills it in.  Either way the
+    callers see one interface.
+
+    The arc law's memos live here, keyed by ids: `steps` maps
+    prefix id * rank + letter to (the id of prefix.letter, the id of the
+    inversion-word entry prefix.letter.prefix^-1); `sweeps` maps a pair of
+    reflection ids to the ids of its dihedral sweep; `closure` is the
+    conjugation closure on ids (inversions._closure_ids); `sweep_words`
+    keeps the DihedralReflectionWord wrappers handed out by
+    dihedral_reflection_word.
+    """
+
+    __slots__ = ("matrix", "words", "index", "right", "steps", "sweeps", "closure", "sweep_words")
+
+    def __init__(self, matrix: CoxeterMatrix, table: CayleyTable | None):
+        self.matrix = matrix
+        if table is not None:
+            self.words, self.index, self.right = table.words, table.index, table.right
+        else:
+            self.words, self.index, self.right = [()], {(): 0}, [[-1] * matrix.rank]
+        self.steps: dict[int, tuple[int, int]] = {}
+        self.sweeps: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.closure: dict[int, dict[int, int | tuple[int, ...]]] | None = None
+        self.sweep_words: dict[tuple[int, int], DihedralReflectionWord] = {}
+
+    def walk(self, x: int, word: Sequence[int]) -> int:
+        right = self.right
+        for s in word:
+            y = right[x][s]
+            if y < 0:
+                y = self._fill(x, s)
+            x = y
+        return x
+
+    def _fill(self, x: int, s: int) -> int:
+        word = _canonical(self.matrix, self.words[x] + (s,))
+        y = self.index.get(word)
+        if y is None:
+            y = self.index[word] = len(self.words)
+            self.words.append(word)
+            self.right.append([-1] * self.matrix.rank)
+        # s is an involution, so the step back is known too
+        self.right[x][s] = y
+        self.right[y][s] = x
+        return y
+
+    def id_of(self, word: Sequence[int]) -> int:
+        """The id of the element a (letter-checked) word represents."""
+        i = self.index.get(word)
+        return self.walk(0, word) if i is None else i
+
+    def element(self, x: int) -> Element:
+        return Element(self.matrix, self.words[x])
+
+
+def element_ids(matrix: CoxeterMatrix) -> ElementIds:
+    """The matrix's ElementIds, made on the first call.
+
+    They are the Cayley table's ids once the table is built: an interning
+    ElementIds made before that is replaced, with its memos, so ids taken
+    from one call must not be kept across an operation that may build the
+    table (see inversions.fixed_ids).
+    """
+    ids = matrix._ids
+    table = matrix._table or None
+    if ids is None or (table is not None and ids.words is not table.words):
+        ids = matrix._ids = ElementIds(matrix, table)
+    return ids
+
+
+def sweep_ids(ids: ElementIds, u: int, v: int, cap: int) -> tuple[int, ...]:
+    """The dihedral sweep of reflections u != v, as ids: entry i is (uv)^i u.
+
+    Entry i + 1 is entry i times v u, so the sweep is walked until it
+    returns to u; m = ord(uv) entries, CapExceededError when m > cap (also
+    when the sweep is already memoized).  Each sweep is walked once per
+    ElementIds; callers that know m, such as the arc law for a conjugate of
+    a generator pair, pass it as the cap.
+    """
+    if u == v:
+        raise ValueError("dihedral_reflection_word requires distinct reflections")
+    hit = ids.sweeps.get((u, v))
+    if hit is None:
+        step = ids.words[v] + ids.words[u]
+        entries = [u]
+        x = ids.walk(u, step)
+        while x != u:
+            if len(entries) >= cap:
+                raise CapExceededError(cap)
+            entries.append(x)
+            x = ids.walk(x, step)
+        if entries[-1] != v:
+            raise AssertionError("sweep does not run from u to v")
+        hit = ids.sweeps[(u, v)] = tuple(entries)
+    elif len(hit) > cap:
+        raise CapExceededError(cap)
+    return hit
 
 
 @dataclass(frozen=True, slots=True)
@@ -643,31 +793,16 @@ def dihedral_reflection_word(
     """Build the sweep ((uv)^0 u, (uv)^1 u, ..., (uv)^(m-1) u).
 
     Requires u != v with product order m <= cap (CapExceededError
-    otherwise, also when the sweep is already memoized).  Each sweep is
-    built once per matrix; callers that know m, such as the arc law for
-    a conjugate of a generator pair, pass it as the cap.
+    otherwise, also when the sweep is already memoized).  The sweep is
+    sweep_ids on the matrix's element ids, wrapped once per pair.
     """
-    if u == v:
-        raise ValueError("dihedral_reflection_word requires distinct reflections")
-    sweeps = u.matrix._sweeps
-    key = (u.element.word, v.element.word)
-    hit = sweeps.get(key)
-    if hit is not None:
-        if hit.order > cap:
-            raise CapExceededError(cap)
-        return hit
-    m = order_of_product(u.element, v.element, cap=cap)
-    step = multiply(u.element, v.element)
-    entries = [u.element]
-    for _ in range(m - 1):
-        entries.append(multiply(step, entries[-1]))
-    refl_entries = tuple(Reflection(e) for e in entries)
-    if len(set(refl_entries)) != m:
-        raise AssertionError("sweep entries are not distinct")
-    if refl_entries[0] != u or refl_entries[-1] != v:
-        raise AssertionError("sweep does not run from u to v")
-    sweep = DihedralReflectionWord(pair=(u, v), entries=refl_entries)
-    sweeps[key] = sweep
+    ids = element_ids(u.matrix)
+    key = (ids.id_of(u.element.word), ids.id_of(v.element.word))
+    entries = sweep_ids(ids, *key, cap=cap)
+    sweep = ids.sweep_words.get(key)
+    if sweep is None:
+        reflections = tuple(Reflection(ids.element(x)) for x in entries)
+        sweep = ids.sweep_words[key] = DihedralReflectionWord(pair=(u, v), entries=reflections)
     return sweep
 
 

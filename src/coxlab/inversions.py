@@ -10,34 +10,139 @@ in I2(4), the sweep of the non-conjugate pair (s, tst) does occur inside
 inversion words, but its occurrence bit is not preserved in the way braid
 moves preserve the rest of the vector.
 
-The vector is 0/1-valued, so it is kept as its support: a frozenset of
-the conjugation closure's keys, the (u, v) pairs of canonical words
-(braid_graph.PairState).  Candidate support pairs are drawn from the
-entries of the inversion word only; this loses nothing because a sweep
-starts with u and ends with v.
+The vector is 0/1-valued, so it is kept as its support.  Candidate support
+pairs are drawn from the entries of the inversion word only; this loses
+nothing because a sweep starts with u and ends with v.
 
-Nothing is memoized per word; closure and sweeps live on the CoxeterMatrix.
+The work runs on the matrix's element ids (core.ElementIds):
+inversion_ids and occurrence_ids are what the arc law calls, and their
+entries, pairs and sweeps are ints.  Each inversion-word entry is memoized
+per (prefix id, letter), a pure function of the word's own prefix, so a
+word's vector is still computed from that word alone.  The public
+functions below (inversion_word, occurrence_vector, occurrence_vector_of)
+wrap them and return reflections and pairs of canonical words, the keys of
+the conjugation closure (braid_graph.PairState).  Nothing is memoized per
+word; the closure, the entry memo and the sweeps live on the CoxeterMatrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .braid_graph import PairState, conjugate_pair_closure
+from .braid_graph import ElementCapExceeded, PairState, conjugate_pair_closure
 from .core import (
     CoxeterMatrix,
     DEFAULT_ORDER_CAP,
     DihedralReflectionWord,
+    ElementIds,
     Reflection,
     Word,
     check_word,
     dihedral_reflection_word,
-    generator_element,
-    identity_element,
-    multiply,
-    reduce_word,
+    element_ids,
+    sweep_ids,
 )
+
+
+def fixed_ids(matrix: CoxeterMatrix) -> ElementIds:
+    """element_ids once the exact conjugation closure has been tried.
+
+    The closure is the one step of the arc law that may build the Cayley
+    table, which replaces interned ids by the table's; ids taken after it
+    stay valid.  A closure that fails is reported again, from its memo, by
+    occurrence_ids.
+    """
+    try:
+        conjugate_pair_closure(matrix)
+    except ElementCapExceeded:
+        pass
+    return element_ids(matrix)
+
+
+class InversionIds(NamedTuple):
+    """The inversion word of `source` as reflection ids; `end` is the word's element."""
+
+    source: Word
+    entries: tuple[int, ...]
+    end: int
+
+
+def inversion_ids(word: Word, matrix: CoxeterMatrix) -> InversionIds:
+    """Inversion word of a letter-checked word, on the matrix's element ids."""
+    ids = element_ids(matrix)
+    steps = ids.steps
+    rank = matrix.rank
+    prefix = 0
+    entries = []
+    for letter in word:
+        key = prefix * rank + letter
+        hit = steps.get(key)
+        if hit is None:
+            after = ids.walk(prefix, (letter,))
+            hit = steps[key] = (after, ids.walk(after, ids.words[prefix][::-1]))
+        prefix, entry = hit
+        entries.append(entry)
+    return InversionIds(word, tuple(entries), prefix)
+
+
+def _closure_ids(matrix: CoxeterMatrix) -> dict[int, dict[int, int | tuple[int, ...]]]:
+    """The conjugation closure on element ids, as partners[u][v].
+
+    Mapped from braid_graph.conjugate_pair_closure once per ElementIds.  An
+    entry is m(seed pair) until a vector first needs the sweep of (u, v);
+    then it becomes the sweep's middle, the entries strictly between u and
+    v.  Raises ElementCapExceeded when the closure cannot be completed.
+    """
+    closure = conjugate_pair_closure(matrix)
+    ids = element_ids(matrix)
+    if ids.closure is None:
+        partners: dict[int, dict[int, int | tuple[int, ...]]] = {}
+        for (u, v), (_, _, m) in closure.items():
+            partners.setdefault(ids.id_of(u), {})[ids.id_of(v)] = m
+        ids.closure = partners
+    return ids.closure
+
+
+def occurrence_ids(inv: InversionIds, matrix: CoxeterMatrix) -> frozenset[tuple[int, int]]:
+    """Occurrence vector of the reduced word inv.source, as pairs of ids.
+
+    The support: the closure pairs (u, v), u before v in inv, whose sweep is
+    a subword of inv.  A candidate's sweep has the order m of its generator
+    pair, read from the closure, so no order search or order cap is
+    involved.  inv must use ids taken after fixed_ids.  Raises ValueError
+    when the word is not reduced, and ElementCapExceeded when the
+    conjugation closure cannot be completed.
+    """
+    ids = element_ids(matrix)
+    if len(ids.words[inv.end]) != len(inv.source):
+        raise ValueError("occurrence_vector requires a reduced word")
+    partners = _closure_ids(matrix)
+    entries = inv.entries
+    position = {x: i for i, x in enumerate(entries)}
+    support = []
+    for i, u in enumerate(entries):
+        mine = partners.get(u)
+        if mine is None:
+            continue
+        for j in range(i + 1, len(entries)):
+            v = entries[j]
+            middle = mine.get(v)
+            if middle is None:
+                continue
+            if middle.__class__ is int:
+                middle = mine[v] = sweep_ids(ids, u, v, middle)[1:-1]
+            # the middle must sit between positions i and j, in sweep order
+            last = i
+            for x in middle:
+                k = position.get(x)
+                if k is None or k < last:
+                    break
+                last = k
+            else:
+                if last < j:
+                    support.append((u, v))
+    return frozenset(support)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,16 +160,9 @@ class InversionWord:
 def inversion_word(word: Sequence[int], matrix: CoxeterMatrix) -> InversionWord:
     """Prefix-conjugate reflections of a word (reducedness not required)."""
     w = check_word(word, matrix)
-    prefix = identity_element(matrix)
-    prefix_inv = prefix
-    entries = []
-    for letter in w:
-        gen = generator_element(matrix, letter)
-        step = multiply(prefix, gen)
-        entries.append(Reflection(multiply(step, prefix_inv)))
-        prefix = step
-        prefix_inv = multiply(gen, prefix_inv)
-    return InversionWord(source=w, entries=tuple(entries))
+    ids = element_ids(matrix)
+    entries = inversion_ids(w, matrix).entries
+    return InversionWord(source=w, entries=tuple(Reflection(ids.element(x)) for x in entries))
 
 
 def occurrence_bit(
@@ -107,9 +205,19 @@ def subword_embedding_count(
     return ways[len(pattern)]
 
 
+def _pair_words(ids: ElementIds, support: frozenset[tuple[int, int]]) -> frozenset[PairState]:
+    words = ids.words
+    return frozenset((words[u], words[v]) for u, v in support)
+
+
 def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> frozenset[PairState]:
-    """Occurrence vector of a reduced word: occurrence_vector_of its inversion word."""
-    return occurrence_vector_of(inversion_word(word, matrix), matrix)
+    """Occurrence vector of a reduced word, as pairs of canonical words.
+
+    occurrence_ids of the word's inversion_ids, mapped back to words.
+    """
+    w = check_word(word, matrix)
+    ids = fixed_ids(matrix)
+    return _pair_words(ids, occurrence_ids(inversion_ids(w, matrix), matrix))
 
 
 def occurrence_vector_of(inv: InversionWord, matrix: CoxeterMatrix) -> frozenset[PairState]:
@@ -117,26 +225,11 @@ def occurrence_vector_of(inv: InversionWord, matrix: CoxeterMatrix) -> frozenset
 
     Returns the support: the (u, v) canonical-word pairs, u before v in
     inv, that are conjugates of generator pairs (keys of the conjugation
-    closure) and whose sweep is a subword of inv.  A candidate's sweep has
-    the order m of its generator pair, read from the closure, so no order
-    search or order cap is involved.  Raises ValueError when the word is
-    not reduced, and ElementCapExceeded when the conjugation closure
-    cannot be completed.
+    closure) and whose sweep is a subword of inv.  Raises ValueError when
+    the word is not reduced, and ElementCapExceeded when the conjugation
+    closure cannot be completed.
     """
-    if reduce_word(inv.source, matrix).length != len(inv.source):
-        raise ValueError("occurrence_vector requires a reduced word")
-    closure = conjugate_pair_closure(matrix)
-    entries = inv.entries
-    position = {r.element.word: i for i, r in enumerate(entries)}
-    support = []
-    for i, u in enumerate(entries):
-        for v in entries[i + 1:]:
-            key = (u.element.word, v.element.word)
-            state = closure.get(key)
-            if state is None:
-                continue
-            sweep = dihedral_reflection_word(u, v, cap=state[2])
-            positions = [position.get(r.element.word) for r in sweep.entries]
-            if None not in positions and positions == sorted(positions):
-                support.append(key)
-    return frozenset(support)
+    ids = fixed_ids(matrix)
+    end = ids.id_of(inv.source)
+    entries = tuple(ids.id_of(r.element.word) for r in inv.entries)
+    return _pair_words(ids, occurrence_ids(InversionIds(inv.source, entries, end), matrix))

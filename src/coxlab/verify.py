@@ -35,6 +35,7 @@ from .core import (
     CoxeterMatrix,
     DEFAULT_ORDER_CAP,
     Element,
+    ElementIds,
     INFINITY,
     Reflection,
     Word,
@@ -43,18 +44,22 @@ from .core import (
     conjugate,
     dihedral_reflection_word,
     dihedral_subgroup,
+    element_ids,
     generator_element,
     identity_element,
     inverse,
     multiply,
     order_of_product,
     reduce_word,
+    sweep_ids,
 )
 from .inversions import (
-    InversionWord,
+    InversionIds,
+    fixed_ids,
+    inversion_ids,
     inversion_word,
     occurrence_bit,
-    occurrence_vector_of,
+    occurrence_ids,
     subword_embedding_count,
 )
 
@@ -100,24 +105,41 @@ def find_braid_factor(
 ) -> BraidStepCertificate:
     """Locate the move window and build its certificate.
 
-    Scans positions left to right and takes the least window that matches.
-    s', t' and the factor are read off a's inversion word, then
-    cross-checked: the endpoints against q s q^-1 and q t q^-1, the factor
-    against the sweep of (s', t') of order m(s, t), and b's inversion word
-    against a's with the factor reversed.  Raises NotABraidStep when no
-    window works and AssertionError when a cross-check fails.
+    Takes the least window that matches.  s', t' and the factor are read
+    off a's inversion word, then cross-checked: the endpoints against
+    q s q^-1 and q t q^-1, the factor against the sweep of (s', t') of
+    order m(s, t), and b's inversion word against a's with the factor
+    reversed.  Raises NotABraidStep when no window works and AssertionError
+    when a cross-check fails.  The work runs on element ids (_certificate).
     """
-    inv_a, inv_b = inversion_word(a, matrix), inversion_word(b, matrix)
-    return _certificate(inv_a.source, inv_b.source, inv_a, inv_b, pair, matrix)
+    wa, wb = check_word(a, matrix), check_word(b, matrix)
+    ids = element_ids(matrix)
+    position, q, s_prime, t_prime, factor = _certificate(
+        wa, wb, inversion_ids(wa, matrix), inversion_ids(wb, matrix), pair, ids
+    )
+    return BraidStepCertificate(
+        position=position,
+        q=ids.element(q),
+        s_prime=Reflection(ids.element(s_prime)),
+        t_prime=Reflection(ids.element(t_prime)),
+        factor=tuple(Reflection(ids.element(x)) for x in factor),
+    )
 
 
 def _certificate(
-    wa: Word, wb: Word, inv_a: InversionWord, inv_b: InversionWord, pair: GenPair,
-    matrix: CoxeterMatrix,
-) -> BraidStepCertificate:
-    """find_braid_factor on letter-checked words and their inversion words."""
+    wa: Word, wb: Word, inv_a: InversionIds, inv_b: InversionIds, pair: GenPair,
+    ids: ElementIds,
+) -> tuple[int, int, int, int, tuple[int, ...]]:
+    """find_braid_factor on ids: (position, q, s', t', factor).
+
+    q is walked from the identity along wa[:position], and the endpoints
+    are compared with fresh walks of q s q^-1 and q t q^-1 (q^-1 is the
+    reversed prefix), not with the inversion-word memo.
+    """
     s, t = pair
-    if s == t or not 0 <= s < matrix.rank or not 0 <= t < matrix.rank:
+    matrix = ids.matrix
+    rank = matrix.rank
+    if s == t or not 0 <= s < rank or not 0 <= t < rank:
         raise NotABraidStep(f"invalid generator pair {pair}")
     m = matrix.m(s, t)
     if m == INFINITY:
@@ -125,36 +147,29 @@ def _certificate(
     m = int(m)
     if len(wa) != len(wb):
         raise NotABraidStep("words have different lengths")
-    window_a = alternating_word(s, t, m)
-    window_b = alternating_word(t, s, m)
-    position = None
-    for p in range(len(wa) - m + 1):
-        if (
-            wa[p : p + m] == window_a
-            and wb[p : p + m] == window_b
-            and wa[:p] == wb[:p]
-            and wa[p + m :] == wb[p + m :]
-        ):
-            position = p
-            break
-    if position is None:
+    # a window starts at the first letter where the words differ, since
+    # its first letters s != t differ and everything before it agrees
+    position = next((p for p, (x, y) in enumerate(zip(wa, wb)) if x != y), None)
+    if (
+        position is None
+        or wa[position : position + m] != alternating_word(s, t, m)
+        or wb[position : position + m] != alternating_word(t, s, m)
+        or wa[position + m :] != wb[position + m :]
+    ):
         raise NotABraidStep(f"no ({s}, {t}) braid window between the words")
 
-    q = reduce_word(wa[:position], matrix)
+    prefix = wa[:position]
+    back = prefix[::-1]
+    q = ids.walk(0, prefix)
     factor = inv_a.entries[position : position + m]
     s_prime, t_prime = factor[0], factor[-1]
-    if (
-        s_prime.element != conjugate(q, generator_element(matrix, s))
-        or t_prime.element != conjugate(q, generator_element(matrix, t))
-    ):
+    if s_prime != ids.walk(ids.walk(q, (s,)), back) or t_prime != ids.walk(ids.walk(q, (t,)), back):
         raise AssertionError("factor endpoints disagree with conjugated generators")
-    if factor != dihedral_reflection_word(s_prime, t_prime, cap=m).entries:
+    if factor != sweep_ids(ids, s_prime, t_prime, cap=m):
         raise AssertionError("certificate factor mismatch against inversion word")
     if inv_b.entries != inv_a.entries[:position] + factor[::-1] + inv_a.entries[position + m :]:
         raise AssertionError("braid move did not reverse the inversion-word factor")
-    return BraidStepCertificate(
-        position=position, q=q, s_prime=s_prime, t_prime=t_prime, factor=factor
-    )
+    return position, q, s_prime, t_prime, factor
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,27 +185,33 @@ def _arc_law(
 ) -> list[StepResult]:
     """verify_has_step on (source, target, pair) arcs between words.
 
-    Each word's inversion word and occurrence vector are built at most
-    once, from that word alone, never by moving along an arc.
+    Runs on element ids.  Each word's inversion word and occurrence vector
+    are built at most once, from that word alone, never by moving along an
+    arc; the vectors are dropped when the call returns.
     """
     words = [check_word(w, matrix) for w in words]
-    invs = [inversion_word(w, matrix) for w in words]
+    if not arcs:
+        return []  # no vector is needed, so the closure is not tried
+    ids = fixed_ids(matrix)
+    invs = [inversion_ids(w, matrix) for w in words]
     vectors = {}
 
     def arc_result(a: int, b: int, pair: GenPair) -> StepResult:
         try:
-            cert = _certificate(words[a], words[b], invs[a], invs[b], pair, matrix)
+            _, _, s_prime, t_prime, _ = _certificate(
+                words[a], words[b], invs[a], invs[b], pair, ids
+            )
         except AssertionError as exc:
             return StepResult(Verdict.FAIL, f"certificate: {exc}")
         try:
             for i in (a, b):
                 if i not in vectors:
-                    vectors[i] = occurrence_vector_of(invs[i], matrix)
+                    vectors[i] = occurrence_ids(invs[i], matrix)
         except CapExceededError as exc:
             return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
         va, vb = vectors[a], vectors[b]
-        st = (cert.s_prime.element.word, cert.t_prime.element.word)
-        ts = st[::-1]
+        st = (s_prime, t_prime)
+        ts = (t_prime, s_prime)
         if st in va and ts not in va and vb == (va - {st}) | {ts}:
             return StepResult(Verdict.PASS)
         # pairs where vector(b) differs from vector(a) - (s', t') + (t', s')

@@ -28,6 +28,7 @@ A2 = catalog_matrix("A2")
 A3 = catalog_matrix("A3")
 A4 = catalog_matrix("A4")
 B3 = catalog_matrix("B3")
+B4 = catalog_matrix("B4")
 
 
 class TestBraidMoves:
@@ -264,18 +265,53 @@ class TestPairClasses:
         )
 
     @pytest.mark.slow
-    def test_length_guard_of_a_finite_group_without_a_table(self):
+    def test_length_guard_of_a_finite_group_without_a_table(self, monkeypatch):
         # H4 on Tits' method alone: its reflections reach length 45, so the
         # closure stops at the guard, and the message must not call the
-        # finite group infinite
+        # finite group infinite.  The guard is reached after about 735 000
+        # braid-orbit words, so the search budget is lifted here.
+        import coxlab.core
         from coxlab.core import CoxeterMatrix
 
+        monkeypatch.setattr(coxlab.core, "_CLOSURE_SEARCH_BUDGET", None)
         h4 = CoxeterMatrix(catalog_matrix("H4").entries)
         h4._table = False
         with pytest.raises(ElementCapExceeded) as info:
             pair_classes(h4)
         assert info.value.cap == 24
         assert str(info.value) == "conjugates exceed length 24; orbit passed the length guard"
+
+    def test_search_budget_stops_the_closure(self, monkeypatch):
+        # B4 on Tits' method alone visits about 3 400 braid-orbit words; with
+        # a budget of 1 000 the closure stops, and the outcome is memoized
+        import coxlab.core
+        from coxlab.core import CoxeterMatrix
+
+        monkeypatch.setattr(coxlab.core, "_CLOSURE_SEARCH_BUDGET", 1000)
+        b4 = CoxeterMatrix(B4.entries)
+        b4._table = False
+        for _ in range(2):
+            with pytest.raises(ElementCapExceeded) as info:
+                pair_classes(b4)
+            assert info.value.cap == 1000
+            assert str(info.value) == (
+                "conjugation closure exceeded its search budget of 1000 braid-orbit words"
+            )
+        # the budget binds only while the closure runs, and the canonical
+        # forms found before it ran out are still right
+        assert b4._budget is None
+        for element in enumerate_elements(B4, max_length=6):
+            assert reduce_word(element.word[::-1], b4).word == (~element).word
+        assert not pair_classes(b4, radius=1).exact
+
+    def test_search_budget_leaves_finishing_closures_alone(self, monkeypatch):
+        # the same B4 closure on Tits' method finishes within the default
+        # budget and gives the table's closure
+        from coxlab.core import CoxeterMatrix
+
+        b4 = CoxeterMatrix(B4.entries)
+        b4._table = False
+        assert bg.conjugate_pair_closure(b4).keys() == bg.conjugate_pair_closure(B4).keys()
 
     def test_finite_pairs_excludes_infinite_bonds(self):
         m = validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]])

@@ -232,6 +232,22 @@ class TestCliCommands:
         assert "conjugates exceed length 24; orbit looks infinite" in result.stderr
         assert "rerun with --radius R" in result.stderr
 
+    @pytest.mark.slow
+    def test_closure_past_the_search_budget(self):
+        # A8 has no Cayley table and its exact closure runs on Tits' method
+        # until the search budget stops it: a usage error with the radius
+        # hint, and an inconclusive arc law under a radius partition
+        message = "conjugation closure exceeded its search budget of 200000 braid-orbit words"
+        result = run_cli("classes", "--type", "A8")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert f"{message}; the exact closure did not finish, rerun with --radius R" in result.stderr
+        result = run_cli("verify", "--type", "A8", "--word", "1 2 1", "--radius", "1")
+        assert result.returncode == 2
+        checks = json.loads(result.stdout)["elements"][0]["arc_checks"]
+        assert checks["checked"] == 2
+        assert [f["details"] for f in checks["failures"]] == [f"cap exceeded: {message}"] * 2
+
     def test_deterministic_output(self):
         a = run_cli("graph", "--type", "A4", "--word", "2 1 2 4")
         b = run_cli("graph", "--type", "A4", "--word", "2 1 2 4")

@@ -123,19 +123,32 @@ class TestVerifyHasStep:
         assert result.verdict is Verdict.INCONCLUSIVE
         assert result.details.startswith("cap exceeded:")
 
+    def test_a_graph_without_arcs_needs_no_closure(self, monkeypatch):
+        # a single reduced word has no vector to compare, so the arc law
+        # must not pay for the exact closure (costly without a table)
+        import coxlab.inversions
+
+        def refuse(matrix):
+            raise AssertionError("the exact closure was tried")
+
+        monkeypatch.setattr(coxlab.inversions, "conjugate_pair_closure", refuse)
+        matrix = catalog_matrix("A3")
+        graph = reduced_graph(reduce_word((0, 1), matrix), pair_classes(matrix, radius=1))
+        assert verify_arc_steps(graph) == (Verdict.PASS, [])
+
     def test_certificate_failure_is_a_fail_verdict(self, monkeypatch):
         # b's inversion word comes back with the move window unreversed,
         # so the certificate's last cross-check must fail
         import coxlab.verify
-        from coxlab import inversion_word
+        from coxlab.inversions import inversion_ids
 
         a = (1, 0, 2)
         b = (1, 2, 0)
 
         def unreversed(word, matrix):
-            return inversion_word(a if tuple(word) == b else word, matrix)
+            return inversion_ids(a if tuple(word) == b else word, matrix)
 
-        monkeypatch.setattr(coxlab.verify, "inversion_word", unreversed)
+        monkeypatch.setattr(coxlab.verify, "inversion_ids", unreversed)
         result = verify_has_step(a, b, (0, 2), A3)
         assert result.verdict is Verdict.FAIL
         assert result.details == (
@@ -146,15 +159,15 @@ class TestVerifyHasStep:
         # the per-graph path must still check b against b's own inversion
         # word: here b's comes back as a's, which breaks both arcs
         import coxlab.verify
-        from coxlab import inversion_word
+        from coxlab.inversions import inversion_ids
 
         a = (1, 0, 2)
         b = (1, 2, 0)
 
         def unreversed(word, matrix):
-            return inversion_word(a if tuple(word) == b else word, matrix)
+            return inversion_ids(a if tuple(word) == b else word, matrix)
 
-        monkeypatch.setattr(coxlab.verify, "inversion_word", unreversed)
+        monkeypatch.setattr(coxlab.verify, "inversion_ids", unreversed)
         graph = reduced_graph(reduce_word(a, A3))
         assert graph.vertices == (a, b)
         verdict, results = verify_arc_steps(graph)
@@ -168,21 +181,21 @@ class TestVerifyHasStep:
 
     def test_each_vertex_is_built_once_from_its_own_word(self, monkeypatch):
         import coxlab.verify
-        from coxlab.inversions import inversion_word, occurrence_vector_of
+        from coxlab.inversions import inversion_ids, occurrence_ids
 
         built: list[tuple] = []
         vectors: list[tuple] = []
 
-        def counted_inversion_word(word, matrix):
+        def counted_inversion_ids(word, matrix):
             built.append(tuple(word))
-            return inversion_word(word, matrix)
+            return inversion_ids(word, matrix)
 
         def counted_vector(inv, matrix):
             vectors.append(inv.source)
-            return occurrence_vector_of(inv, matrix)
+            return occurrence_ids(inv, matrix)
 
-        monkeypatch.setattr(coxlab.verify, "inversion_word", counted_inversion_word)
-        monkeypatch.setattr(coxlab.verify, "occurrence_vector_of", counted_vector)
+        monkeypatch.setattr(coxlab.verify, "inversion_ids", counted_inversion_ids)
+        monkeypatch.setattr(coxlab.verify, "occurrence_ids", counted_vector)
         graph = reduced_graph(reduce_word((1, 0, 1, 3), A4))
         verdict, results = verify_arc_steps(graph)
         assert verdict is Verdict.PASS and len(results) == len(graph.arcs) == 16
@@ -204,14 +217,14 @@ class TestVerifyHasStep:
         # each word gets the vector of another word, so the law must fail
         # and count the pairs where vector(b) differs from the expected one
         import coxlab.verify
-        from coxlab.inversions import inversion_word, occurrence_vector_of
+        from coxlab.inversions import inversion_ids, occurrence_ids
 
         other = vector_of(a, b)
 
         def wrong_vector(inv, matrix):
-            return occurrence_vector_of(inversion_word(other[inv.source], matrix), matrix)
+            return occurrence_ids(inversion_ids(other[inv.source], matrix), matrix)
 
-        monkeypatch.setattr(coxlab.verify, "occurrence_vector_of", wrong_vector)
+        monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
         result = verify_has_step(a, b, (0, 1), matrix)
         assert result.verdict is Verdict.FAIL
         assert result.details == f"vector mismatch on {mismatches} pair(s)"
@@ -219,16 +232,16 @@ class TestVerifyHasStep:
     def test_graph_vector_mismatch_details(self, monkeypatch):
         # vertex i gets the vector of vertex i+1 mod n: every arc fails
         import coxlab.verify
-        from coxlab.inversions import inversion_word, occurrence_vector_of
+        from coxlab.inversions import inversion_ids, occurrence_ids
 
         graph = reduced_graph(reduce_word((0, 1, 0, 2, 1, 0), A3))
         n = len(graph.vertices)
         shifted = {w: graph.vertices[(i + 1) % n] for i, w in enumerate(graph.vertices)}
 
         def wrong_vector(inv, matrix):
-            return occurrence_vector_of(inversion_word(shifted[inv.source], matrix), matrix)
+            return occurrence_ids(inversion_ids(shifted[inv.source], matrix), matrix)
 
-        monkeypatch.setattr(coxlab.verify, "occurrence_vector_of", wrong_vector)
+        monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
         verdict, results = verify_arc_steps(graph)
         assert verdict is Verdict.FAIL
         assert len(results) == 36
@@ -250,6 +263,18 @@ class TestVerifyHasStep:
         verdict, results = verify_arc_steps(graph)
         assert verdict is Verdict.PASS
         assert len(results) == 168636
+
+    @pytest.mark.slow
+    def test_every_arc_of_b4(self):
+        # all 384 elements, 618 526 arcs, on the Cayley table's ids
+        matrix = catalog_matrix("B4")
+        partition = pair_classes(matrix)
+        arcs = 0
+        for element in enumerate_elements(matrix):
+            verdict, results = verify_arc_steps(reduced_graph(element, partition))
+            assert verdict is Verdict.PASS, element
+            arcs += len(results)
+        assert arcs == 618526
 
 
 class TestFundamentalCycles:
