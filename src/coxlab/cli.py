@@ -34,6 +34,7 @@ from .serialize import (
     partition_to_json,
     step_results_to_json,
     surface_word,
+    write_verify_json,
 )
 from .verify import (
     Verdict,
@@ -202,18 +203,18 @@ def cmd_graph(args) -> int:
     return EXIT_PASS
 
 
-def _verify_one(matrix, partition, element, source=None):
+def _verify_one(partition, element, source=None):
+    """(verdict, the element's keys before "report", its parity report)."""
     graph = reduced_graph(element, partition)
     arc_verdict, results = verify_arc_steps(graph)
     report = verify_parity(graph, partition)
-    payload = {
+    head = {
         "element": element_to_json(element, source=source),
         "vertices": len(graph.vertices),
         "arcs": len(graph.arcs),
         "arc_checks": step_results_to_json(results),
-        "report": parity_report_to_json(report),
     }
-    return worst((arc_verdict, report.verdict)), payload
+    return worst((arc_verdict, report.verdict)), head, report
 
 
 def cmd_verify(args) -> int:
@@ -223,8 +224,7 @@ def cmd_verify(args) -> int:
     partition = _partition(matrix, args.radius)
     if args.word is not None:
         word = _parse_word(args.word, matrix)
-        element = reduce_word(word, matrix)
-        elements = [(element, word)]
+        elements = [(reduce_word(word, matrix), word)]
     else:
         try:
             listed = enumerate_elements(matrix, max_length=args.max_length)
@@ -233,16 +233,9 @@ def cmd_verify(args) -> int:
                 f"{exc}; pass --max-length L to bound the enumeration"
             ) from exc
         elements = [(e, None) for e in listed]
-
-    outcomes = [_verify_one(matrix, partition, e, w) for e, w in elements]
-    verdict = worst(v for v, _ in outcomes)
-    payload = {
-        "matrix": matrix_to_json(matrix),
-        "elements": [p for _, p in outcomes],
-        "verdict": verdict.value,
-    }
-    sys.stdout.write(dump_json(payload))
-    return _verdict_exit(verdict)
+    # one element's graph and report are alive at a time
+    outcomes = (_verify_one(partition, e, w) for e, w in elements)
+    return _verdict_exit(write_verify_json(sys.stdout.write, matrix, outcomes))
 
 
 def cmd_invs(args) -> int:

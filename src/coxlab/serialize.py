@@ -10,11 +10,11 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .braid_graph import BraidGraph, PairClassPartition
 from .core import CoxeterMatrix, Element, INFINITY, Word, validate_matrix
-from .verify import CycleParityReport, StepResult, Verdict, worst
+from .verify import CycleClassCheck, CycleParityReport, StepResult, Verdict, worst
 
 
 class MatrixFileError(ValueError):
@@ -205,3 +205,115 @@ def graph_to_dot(graph: BraidGraph, name: str = "braid_graph") -> str:
 
 def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _nested(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2)`` as it reads ``depth`` levels deep.
+
+    Re-indenting by newline is exact: an encoded JSON string never holds a
+    raw newline.
+    """
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _members(obj: dict, depth: int) -> str:
+    """The ``"key": value,`` lines of a dict nested ``depth`` levels deep."""
+    pad = "  " * depth
+    return "".join(f"{pad}{json.dumps(k)}: {_nested(v, depth)},\n" for k, v in obj.items())
+
+
+# Cycles are written this many at a time: the longest B4 element alone is
+# 216 MB of text, so an element is never one string.
+_CYCLES_PER_CHUNK = 512
+_ARC_SEPARATOR = ",\n" + " " * 14
+
+
+def _cycle_text(index: int, arcs: tuple[int, ...], checks: list[CycleClassCheck]) -> str:
+    """One entry of a verify document's ``cycles`` list, indented in place."""
+    arcs_text = "[]"
+    if arcs:
+        arcs_text = "[\n              " + _ARC_SEPARATOR.join(map(str, arcs)) + "\n            ]"
+    checks_text = "[]"
+    if checks:
+        checks_text = "[\n" + ",\n".join(
+            "              {\n"
+            f'                "class": {c.class_id},\n'
+            f'                "op_class": {c.op_class_id},\n'
+            f'                "count": {c.count},\n'
+            f'                "op_count": {c.op_count},\n'
+            f'                "verdict": "{c.verdict.value}"\n'
+            "              }"
+            for c in checks
+        ) + "\n            ]"
+    return (
+        "          {\n"
+        f'            "index": {index},\n'
+        f'            "arcs": {arcs_text},\n'
+        f'            "length": {len(arcs)},\n'
+        f'            "checks": {checks_text},\n'
+        f'            "verdict": "{worst(c.verdict for c in checks).value}"\n'
+        "          }"
+    )
+
+
+def _element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
+    """One entry of a verify document's ``elements`` list, in chunks.
+
+    ``head`` holds the entry's keys before ``"report"``; the report is
+    written as ``parity_report_to_json`` gives it, without building it.
+    """
+    summary = {
+        "mode": report.graph_mode,
+        "exploratory": report.exploratory,
+        "exact_partition": report.exact_partition,
+    }
+    yield (
+        "    {\n" + _members(head, 3)
+        + '      "report": {\n' + _members(summary, 4)
+        + '        "cycles": ['
+    )
+    per_cycle: list[list[CycleClassCheck]] = [[] for _ in report.cycles]
+    for check in report.checks:
+        per_cycle[check.cycle_index].append(check)
+    count = len(report.cycles)
+    for start in range(0, count, _CYCLES_PER_CHUNK):
+        yield ("\n" if start == 0 else ",\n") + ",\n".join(
+            _cycle_text(index, report.cycles[index], per_cycle[index])
+            for index in range(start, min(start + _CYCLES_PER_CHUNK, count))
+        )
+    yield (
+        ("\n        ]" if count else "]")
+        + f',\n        "verdict": "{report.verdict.value}"\n      }}\n    }}'
+    )
+
+
+def write_verify_json(
+    write: Callable[[str], object],
+    matrix: CoxeterMatrix,
+    outcomes: Iterable[tuple[Verdict, dict, CycleParityReport]],
+) -> Verdict:
+    """Write the verify document, one element at a time; return its verdict.
+
+    ``outcomes`` yields ``(verdict, head, report)`` per element, where
+    ``head`` holds the element's keys before ``"report"``.  The text is
+    ``dump_json`` of ``{"matrix", "elements", "verdict"}`` with each report
+    as ``parity_report_to_json`` gives it, byte for byte.  Nothing is
+    written until the first element's text is complete, so an error before
+    then leaves the output empty; later elements are written as they come.
+    """
+    header = '{\n  "matrix": ' + _nested(matrix_to_json(matrix), 1) + ',\n  "elements": ['
+    closing = "]"
+    verdict = Verdict.PASS
+    for element_verdict, head, report in outcomes:
+        verdict = worst((verdict, element_verdict))
+        chunks = _element_chunks(head, report)
+        del head, report  # so the next element is computed without this one
+        if header:
+            chunks = [header, "\n", *chunks]
+            header, closing = "", "\n  ]"
+        else:
+            write(",\n")
+        for chunk in chunks:
+            write(chunk)
+    write(header + closing + f',\n  "verdict": "{verdict.value}"\n}}\n')
+    return verdict

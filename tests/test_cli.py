@@ -7,14 +7,26 @@ import sys
 
 import pytest
 
-from coxlab import catalog_matrix, reduce_word, reduced_graph
+from coxlab import (
+    catalog_matrix,
+    enumerate_elements,
+    identity_element,
+    pair_classes,
+    reduce_word,
+    reduced_graph,
+)
 from coxlab.serialize import (
     MatrixFileError,
+    dump_json,
     graph_to_dot,
+    matrix_to_json,
     matrix_to_text,
+    parity_report_to_json,
     parse_matrix_text,
     parse_surface_word,
+    write_verify_json,
 )
+from coxlab.verify import worst
 
 
 def run_cli(*args, env_extra=None):
@@ -80,6 +92,134 @@ class TestDotExport:
         edge_lines = re.findall(r'^\s*v\d+ -> v\d+ \[.*\];$', dot, re.M)
         assert len(node_lines) == 8
         assert len(edge_lines) == 16
+
+
+def _reference_document(matrix, outcomes):
+    """The verify document as one payload, each report via parity_report_to_json."""
+    return dump_json(
+        {
+            "matrix": matrix_to_json(matrix),
+            "elements": [dict(head, report=parity_report_to_json(r)) for _, head, r in outcomes],
+            "verdict": worst(v for v, _, _ in outcomes).value,
+        }
+    )
+
+
+def _streamed_document(matrix, outcomes):
+    chunks = []
+    verdict = write_verify_json(chunks.append, matrix, iter(outcomes))
+    return "".join(chunks), verdict, chunks
+
+
+def _all_elements(name):
+    matrix = catalog_matrix(name)
+    return matrix, pair_classes(matrix), enumerate_elements(matrix)
+
+
+def _writer_case(case, monkeypatch):
+    """(matrix, outcomes) for one case of the writer-against-reference test."""
+    import coxlab.cli
+    import coxlab.verify
+    from coxlab.inversions import inversion_ids, occurrence_ids
+
+    if case in ("A3", "B3", "H3", "I2_7"):
+        matrix, partition, elements = _all_elements(case)
+        return matrix, [coxlab.cli._verify_one(partition, e) for e in elements]
+    matrix = catalog_matrix("A4")
+    if case == "hand_built":
+        # an empty cycle, a cycle without checks, and a details string that
+        # needs escaping: shapes the CLI never makes, same bytes all the same
+        from coxlab.verify import CycleClassCheck, CycleParityReport, Verdict
+
+        report = CycleParityReport(
+            graph_mode="expressions",
+            exact_partition=False,
+            cycles=((), (0, 1), (2, 3)),
+            checks=(CycleClassCheck(2, 1, 0, 1, 1, Verdict.PASS),
+                    CycleClassCheck(2, 0, 1, 1, 0, Verdict.INCONCLUSIVE)),
+            verdict=Verdict.INCONCLUSIVE,
+        )
+        head = {
+            "element": {"canonical": [], "length": 0},
+            "vertices": 2,
+            "arcs": 4,
+            "arc_checks": {"checked": 4, "failures": [
+                {"arc": 3, "verdict": "fail", "details": 'line\n"quoted"\tand \u00e9'},
+            ]},
+        }
+        return matrix, [(Verdict.FAIL, head, report)]
+    word = (1, 0, 1, 3)
+    partition = pair_classes(matrix, radius=0 if case == "radius" else None)
+    element = reduce_word(word, matrix)
+    if case == "identity":
+        element = identity_element(matrix)
+    elif case == "recoloured":
+        def recoloured(element, partition):
+            graph = reduced_graph(element, partition)
+            return graph.with_arc_color(0, (graph.arcs[0].color + 1) % len(partition.classes))
+
+        monkeypatch.setattr(coxlab.cli, "reduced_graph", recoloured)
+    elif case == "wrong_vectors":
+        def wrong_vector(inv, matrix):
+            return occurrence_ids(inversion_ids(inv.source[::-1], matrix), matrix)
+
+        monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
+    source = word if case == "word" else None
+    return matrix, [coxlab.cli._verify_one(partition, element, source)]
+
+
+class TestVerifyWriter:
+    @pytest.mark.parametrize(
+        "case, verdict",
+        [
+            ("A3", "pass"),
+            ("B3", "pass"),
+            ("H3", "pass"),
+            ("I2_7", "pass"),
+            ("identity", "pass"),
+            ("word", "pass"),
+            ("radius", "inconclusive"),
+            ("recoloured", "fail"),
+            ("wrong_vectors", "fail"),
+            ("hand_built", "fail"),
+        ],
+    )
+    def test_streamed_document_matches_the_reference(self, monkeypatch, case, verdict):
+        matrix, outcomes = _writer_case(case, monkeypatch)
+        text, got, _ = _streamed_document(matrix, outcomes)
+        assert got.value == verdict
+        assert text == _reference_document(matrix, outcomes)
+        element = json.loads(text)["elements"][0]
+        if case == "identity":
+            assert element["arcs"] == 0 and element["report"]["cycles"] == []
+        if case == "word":
+            assert element["element"]["word"] == [2, 1, 2, 4]
+        if case == "radius":
+            assert {c["verdict"] for c in element["report"]["cycles"]} == {"pass", "inconclusive"}
+        if case == "recoloured":
+            assert element["report"]["verdict"] == "fail"
+            assert element["arc_checks"]["failures"] == []
+        if case == "wrong_vectors":
+            assert element["report"]["verdict"] == "pass"
+            assert all(f["details"] for f in element["arc_checks"]["failures"])
+
+    def test_no_elements(self):
+        matrix = catalog_matrix("A2")
+        text, verdict, _ = _streamed_document(matrix, [])
+        assert verdict.value == "pass"
+        assert text == _reference_document(matrix, [])
+
+    def test_a_long_element_is_written_in_chunks(self):
+        # H3's longest element has 995 basis cycles: more than one chunk
+        import coxlab.cli
+
+        matrix, partition, elements = _all_elements("H3")
+        outcomes = [coxlab.cli._verify_one(partition, elements[-1])]
+        assert len(outcomes[0][2].cycles) == 995
+        text, _, chunks = _streamed_document(matrix, outcomes)
+        assert text == _reference_document(matrix, outcomes)
+        cycle_chunks = [c for c in chunks if c.lstrip(",\n").startswith("          {")]
+        assert len(cycle_chunks) == 2
 
 
 class TestCliCommands:
@@ -349,6 +489,54 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ValueError: graph is not connected" in captured.err
+
+    def test_internal_error_after_the_first_element(self, monkeypatch, capsys):
+        # the first element is already written: stdout is a strict prefix of
+        # the document, the traceback goes to stderr and the exit code is 4
+        import coxlab.cli
+
+        args = ["verify", "--type", "A3", "--all-elements"]
+        assert coxlab.cli.main(args) == 0
+        document = capsys.readouterr().out
+        real = coxlab.cli.verify_parity
+        calls = []
+
+        def broken_second(graph, partition):
+            calls.append(graph)
+            if len(calls) == 2:
+                raise ValueError("graph is not connected")
+            return real(graph, partition)
+
+        monkeypatch.setattr(coxlab.cli, "verify_parity", broken_second)
+        assert coxlab.cli.main(args) == 4
+        captured = capsys.readouterr()
+        assert "ValueError: graph is not connected" in captured.err
+        assert 0 < len(captured.out) < len(document)
+        assert document.startswith(captured.out)
+
+    @pytest.mark.slow
+    def test_b4_all_elements_streams_under_one_gigabyte(self, tmp_path):
+        # 744 148 343 bytes: memory follows the largest element's graph,
+        # not the document; ru_maxrss is in kilobytes on Linux
+        with open(tmp_path / "stderr.txt", "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "coxlab", "verify", "--type", "B4", "--all-elements"],
+                stdout=subprocess.PIPE, stderr=stderr,
+            )
+            digest = hashlib.sha256()
+            size = 0
+            for block in iter(lambda: proc.stdout.read(1 << 20), b""):
+                digest.update(block)
+                size += len(block)
+            proc.stdout.close()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
+        assert size == 744148343
+        assert digest.hexdigest() == (
+            "970fb157ad72044f06c11ce29b78e1f720f47c2154d4391733a3baf50891793d"
+        )
+        assert usage.ru_maxrss < 1024 * 1024
 
     def test_verdict_exit_mapping(self):
         from coxlab.cli import (
