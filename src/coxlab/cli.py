@@ -217,6 +217,34 @@ def _verify_one(partition, element, source=None):
     return worst((arc_verdict, report.verdict)), head, report
 
 
+# The verify document goes out in blocks of about this many characters: a
+# reader on a pipe is woken once per block, not once per 8 KB of stdout's
+# buffer, so the verifier does not wait on it between elements.
+_VERIFY_BLOCK = 1 << 22
+
+
+class _BlockWriter:
+    """``write`` called with blocks of at least ``size`` characters."""
+
+    def __init__(self, write, size: int):
+        self._write = write
+        self._size = size
+        self._pending: list[str] = []
+        self._length = 0
+
+    def write(self, text: str) -> None:
+        self._pending.append(text)
+        self._length += len(text)
+        if self._length >= self._size:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._pending:
+            self._write("".join(self._pending))
+            self._pending.clear()
+            self._length = 0
+
+
 def cmd_verify(args) -> int:
     matrix = _load_matrix(args)
     if bool(args.word is not None) == bool(args.all_elements):
@@ -235,7 +263,12 @@ def cmd_verify(args) -> int:
         elements = [(e, None) for e in listed]
     # one element's graph and report are alive at a time
     outcomes = (_verify_one(partition, e, w) for e, w in elements)
-    return _verdict_exit(write_verify_json(sys.stdout.write, matrix, outcomes))
+    out = _BlockWriter(sys.stdout.write, _VERIFY_BLOCK)
+    try:
+        verdict = write_verify_json(out.write, matrix, outcomes)
+    finally:
+        out.flush()  # after an error, what was written before it
+    return _verdict_exit(verdict)
 
 
 def cmd_invs(args) -> int:

@@ -514,6 +514,23 @@ class TestCliCommands:
         assert 0 < len(captured.out) < len(document)
         assert document.startswith(captured.out)
 
+    def test_verify_writes_whole_blocks(self, monkeypatch, capsys):
+        # every write but the last holds at least one block; the bytes are
+        # those of a single block
+        import coxlab.cli
+
+        args = ["verify", "--type", "A3", "--all-elements"]
+        assert coxlab.cli.main(args) == 0
+        document = capsys.readouterr().out
+        writes = []
+        monkeypatch.setattr(coxlab.cli, "_VERIFY_BLOCK", 4096)
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert coxlab.cli.main(args) == 0
+        assert "".join(writes) == document
+        assert len(writes) > 2
+        assert all(len(w) >= 4096 for w in writes[:-1])
+        assert 0 < len(writes[-1])
+
     @pytest.mark.slow
     def test_b4_all_elements_streams_under_one_gigabyte(self, tmp_path):
         # 744 148 343 bytes: memory follows the largest element's graph,
