@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .braid_graph import BraidGraph, PairClassPartition
 from .core import CoxeterMatrix, Element, INFINITY, Word, validate_matrix
-from .verify import CycleClassCheck, CycleParityReport, StepResult, Verdict, worst
+from .verify import CheckRow, CycleParityReport, StepResult, Verdict, worst
 
 
 class MatrixFileError(ValueError):
@@ -228,31 +228,38 @@ _CYCLES_PER_CHUNK = 512
 _ARC_SEPARATOR = ",\n" + " " * 14
 
 
-def _cycle_text(index: int, arcs: tuple[int, ...], checks: list[CycleClassCheck]) -> str:
+def _signature_text(rows: tuple[CheckRow, ...]) -> str:
+    """A cycle's ``checks`` and ``verdict`` members for one signature."""
+    checks_text = "[]"
+    if rows:
+        checks_text = "[\n" + ",\n".join(
+            "              {\n"
+            f'                "class": {class_id},\n'
+            f'                "op_class": {op_id},\n'
+            f'                "count": {count},\n'
+            f'                "op_count": {op_count},\n'
+            f'                "verdict": "{verdict.value}"\n'
+            "              }"
+            for class_id, op_id, count, op_count, verdict in rows
+        ) + "\n            ]"
+    return (
+        f'            "checks": {checks_text},\n'
+        f'            "verdict": "{worst(row[-1] for row in rows).value}"\n'
+    )
+
+
+def _cycle_text(index: int, arcs: tuple[int, ...], signature_text: str) -> str:
     """One entry of a verify document's ``cycles`` list, indented in place."""
     arcs_text = "[]"
     if arcs:
         arcs_text = "[\n              " + _ARC_SEPARATOR.join(map(str, arcs)) + "\n            ]"
-    checks_text = "[]"
-    if checks:
-        checks_text = "[\n" + ",\n".join(
-            "              {\n"
-            f'                "class": {c.class_id},\n'
-            f'                "op_class": {c.op_class_id},\n'
-            f'                "count": {c.count},\n'
-            f'                "op_count": {c.op_count},\n'
-            f'                "verdict": "{c.verdict.value}"\n'
-            "              }"
-            for c in checks
-        ) + "\n            ]"
     return (
         "          {\n"
         f'            "index": {index},\n'
         f'            "arcs": {arcs_text},\n'
         f'            "length": {len(arcs)},\n'
-        f'            "checks": {checks_text},\n'
-        f'            "verdict": "{worst(c.verdict for c in checks).value}"\n'
-        "          }"
+        + signature_text
+        + "          }"
     )
 
 
@@ -261,6 +268,7 @@ def _element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
 
     ``head`` holds the entry's keys before ``"report"``; the report is
     written as ``parity_report_to_json`` gives it, without building it.
+    Each signature's checks are formatted once and shared by its cycles.
     """
     summary = {
         "mode": report.graph_mode,
@@ -272,13 +280,12 @@ def _element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
         + '      "report": {\n' + _members(summary, 4)
         + '        "cycles": ['
     )
-    per_cycle: list[list[CycleClassCheck]] = [[] for _ in report.cycles]
-    for check in report.checks:
-        per_cycle[check.cycle_index].append(check)
-    count = len(report.cycles)
+    signature_texts = [_signature_text(rows) for rows in report.signatures]
+    cycles, cycle_signatures = report.cycles, report.cycle_signatures
+    count = len(cycles)
     for start in range(0, count, _CYCLES_PER_CHUNK):
         yield ("\n" if start == 0 else ",\n") + ",\n".join(
-            _cycle_text(index, report.cycles[index], per_cycle[index])
+            _cycle_text(index, cycles[index], signature_texts[cycle_signatures[index]])
             for index in range(start, min(start + _CYCLES_PER_CHUNK, count))
         )
     yield (

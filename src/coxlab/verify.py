@@ -7,7 +7,9 @@ class c and its opposite (the class of the swapped pair), a directed
 cycle uses as many arcs of color c as of the opposite color, and an even
 number in total.  Both statements are additive over the cycle space, so a
 fundamental-cycle basis of the (bidirected) graph suffices; random closed
-walks guard the reduction in the test suite.
+walks guard the reduction in the test suite.  A cycle's checks depend only
+on the multiset of its arc colours (its signature), so they are computed
+and kept once per signature, not once per cycle.
 
 Verdicts are three-valued: a failure that rests on a provisional class
 partition or on a capped conjugation closure is reported as inconclusive,
@@ -46,6 +48,7 @@ from .core import (
     dihedral_subgroup,
     element_ids,
     generator_element,
+    group_order,
     identity_element,
     inverse,
     multiply,
@@ -334,17 +337,37 @@ class CycleClassCheck:
     verdict: Verdict
 
 
+CheckRow = tuple[int, int, int, int, Verdict]  # class, op_class, count, op_count, verdict
+
+
 @dataclass(frozen=True, slots=True)
 class CycleParityReport:
+    """The cycle law on a cycle basis, one table of check rows per signature.
+
+    signatures[k] holds the (class, op_class, count, op_count, verdict)
+    rows of the k-th distinct colour multiset, and cycle_signatures[i] is
+    the index of cycle i's signature.  checks spells the rows out per cycle.
+    """
+
     graph_mode: str
     exact_partition: bool
     cycles: tuple[tuple[int, ...], ...]
-    checks: tuple[CycleClassCheck, ...]
+    signatures: tuple[tuple[CheckRow, ...], ...]
+    cycle_signatures: tuple[int, ...]
     verdict: Verdict
 
     @property
     def exploratory(self) -> bool:
         return self.graph_mode != "reduced"
+
+    @property
+    def checks(self) -> tuple[CycleClassCheck, ...]:
+        """One check per cycle and class, in cycle order, then class order."""
+        return tuple(
+            CycleClassCheck(index, *row)
+            for index, k in enumerate(self.cycle_signatures)
+            for row in self.signatures[k]
+        )
 
 
 def parity_ok(counts: Mapping[int, int], class_id: int, op_id: int) -> tuple[int, int, bool]:
@@ -358,9 +381,7 @@ def parity_ok(counts: Mapping[int, int], class_id: int, op_id: int) -> tuple[int
     return count, op_count, ok
 
 
-def _class_results(
-    counts: Counter, op_ids: Sequence[int], exact: bool
-) -> list[tuple[int, int, int, int, Verdict]]:
+def _class_results(counts: Counter, op_ids: Sequence[int], exact: bool) -> tuple[CheckRow, ...]:
     """(class, op_class, count, op_count, verdict) per class of a closed walk.
 
     counts maps class ids to arc counts; op_ids[c] is the opposite of
@@ -371,7 +392,7 @@ def _class_results(
     for class_id, op_id in enumerate(op_ids):
         count, op_count, ok = parity_ok(counts, class_id, op_id)
         results.append((class_id, op_id, count, op_count, Verdict.PASS if ok else failed))
-    return results
+    return tuple(results)
 
 
 def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CycleParityReport:
@@ -380,23 +401,31 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
     Arc colors are read from the graph (so deliberately corrupted colors
     are caught); the partition supplies the opposite-class involution and
     its exact/provisional status.  A failing check under a provisional
-    partition is inconclusive rather than failing.
+    partition is inconclusive rather than failing.  The checks depend only
+    on a cycle's colour multiset, keyed as its sorted colours, so they are
+    computed once per distinct signature of this graph and partition.
     """
     cycles = fundamental_cycles(graph)
     exact = partition.exact
     op_ids = [op_class(cls.index, partition) for cls in partition.classes]
-    checks: list[CycleClassCheck] = []
-    for ci, cycle in enumerate(cycles):
-        counts = Counter(graph.arcs[i].color for i in cycle)
-        checks.extend(
-            CycleClassCheck(ci, *result) for result in _class_results(counts, op_ids, exact)
-        )
+    colors = [arc.color for arc in graph.arcs]
+    index: dict[tuple[int, ...], int] = {}
+    signatures: list[tuple[CheckRow, ...]] = []
+    cycle_signatures = []
+    for cycle in cycles:
+        key = tuple(sorted([colors[i] for i in cycle]))
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(signatures)
+            signatures.append(_class_results(Counter(key), op_ids, exact))
+        cycle_signatures.append(k)
     return CycleParityReport(
         graph_mode=graph.mode,
         exact_partition=exact,
         cycles=tuple(tuple(c) for c in cycles),
-        checks=tuple(checks),
-        verdict=worst(c.verdict for c in checks),
+        signatures=tuple(signatures),
+        cycle_signatures=tuple(cycle_signatures),
+        verdict=worst(row[-1] for rows in signatures for row in rows),
     )
 
 
@@ -515,7 +544,9 @@ def property_harness(
     entries g-1 and g mod m.
     m(s, t) caps the sweeps and order law of q (s, t) q^-1; order_cap caps
     only the subword properties, whose pairs need not be such conjugates.
-    Failures carry shrunk witnesses.  Zero failures is the expected
+    In an infinite group a subword pair is skipped, as on the cap, once its
+    sweep leaves the inversion word: it cannot embed there, and walking it
+    to order_cap may never end (uv can have infinite order).  Failures carry shrunk witnesses.  Zero failures is the expected
     outcome; anything else indicates an implementation bug.
     """
     rank = matrix.rank
@@ -524,6 +555,7 @@ def property_harness(
     if max_word_length is None:
         max_word_length = min(10, 2 * rank + 2)
     pairs = finite_pairs(matrix)
+    infinite = group_order(matrix) is None
     gens = [generator_element(matrix, i) for i in range(rank)]
     dihedral_cache: dict[GenPair, list[Element]] = {}
 
@@ -648,6 +680,8 @@ def property_harness(
             for _ in range(min(3, len(indices))):
                 i, j = sorted(rng.sample(indices, 2))
                 u, v = entries[i], entries[j]
+                if infinite and _sweep_leaves(u, v, entries):
+                    continue  # it cannot embed, and uv may have infinite order
                 try:
                     sweep_uv = dihedral_reflection_word(u, v, cap=order_cap)
                 except CapExceededError:
@@ -668,6 +702,24 @@ def property_harness(
                     else {"word": list(reduced)},
                 )
     return report
+
+
+def _sweep_leaves(u: Reflection, v: Reflection, entries: Sequence[Reflection]) -> bool:
+    """Whether the sweep of (u, v) reaches a reflection outside entries.
+
+    Walked one entry at a time, so it stops where uv has infinite order
+    too: the sweep's entries are distinct and entries is finite.
+    """
+    ids = element_ids(u.matrix)
+    inside = {ids.id_of(r.element.word) for r in entries}
+    first = ids.id_of(u.element.word)
+    step = v.element.word + u.element.word
+    x = ids.walk(first, step)
+    while x != first:
+        if x not in inside:
+            return True
+        x = ids.walk(x, step)
+    return False
 
 
 def _power(x: Element, exponent: int) -> Element:

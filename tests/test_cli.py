@@ -29,7 +29,7 @@ from coxlab.serialize import (
 from coxlab.verify import worst
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -38,6 +38,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -127,17 +128,22 @@ def _writer_case(case, monkeypatch):
         return matrix, [coxlab.cli._verify_one(partition, e) for e in elements]
     matrix = catalog_matrix("A4")
     if case == "hand_built":
-        # an empty cycle, a cycle without checks, and a details string that
-        # needs escaping: shapes the CLI never makes, same bytes all the same
-        from coxlab.verify import CycleClassCheck, CycleParityReport, Verdict
+        # an empty cycle, cycles without checks, a signature shared by two
+        # cycles, and a details string that needs escaping: shapes the CLI
+        # never makes, same bytes all the same
+        from coxlab.verify import CycleParityReport, Verdict
 
         report = CycleParityReport(
             graph_mode="expressions",
             exact_partition=False,
-            cycles=((), (0, 1), (2, 3)),
-            checks=(CycleClassCheck(2, 1, 0, 1, 1, Verdict.PASS),
-                    CycleClassCheck(2, 0, 1, 1, 0, Verdict.INCONCLUSIVE)),
-            verdict=Verdict.INCONCLUSIVE,
+            cycles=((), (0, 1), (2, 3), (1, 0), (3, 2)),
+            signatures=(
+                (),
+                ((1, 0, 1, 1, Verdict.PASS), (0, 1, 1, 0, Verdict.INCONCLUSIVE)),
+                ((0, 0, 1, 1, Verdict.FAIL),),
+            ),
+            cycle_signatures=(0, 0, 1, 2, 1),
+            verdict=Verdict.FAIL,
         )
         head = {
             "element": {"canonical": [], "length": 0},
@@ -301,6 +307,18 @@ class TestCliCommands:
         assert payload["verdict"] == "pass"
         assert payload["failures"] == []
         assert payload["checks"]["inversion_entries_distinct"] == 40
+
+    @pytest.mark.parametrize(
+        "rows", ["1 3 3\n3 1 3\n3 3 1", "1 3 inf\n3 1 3\ninf 3 1"], ids=["affine_A2", "inf_bond"]
+    )
+    def test_props_finishes_on_infinite_groups(self, tmp_path, rows):
+        # subword pairs of an infinite group may generate an infinite
+        # dihedral group; their sweep must not be walked to the order cap
+        path = tmp_path / "m.txt"
+        path.write_text(f"rank 3\n{rows}\n")
+        result = run_cli("props", "--matrix", str(path), "--samples", "10", timeout=30)
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["verdict"] == "pass"
 
     def test_matrix_file_input(self, tmp_path):
         path = tmp_path / "m.txt"

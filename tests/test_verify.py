@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -21,9 +22,15 @@ from coxlab import (
     verify_has_step,
     verify_parity,
 )
-from coxlab.braid_graph import default_partition
+from coxlab.braid_graph import PairClassPartition, default_partition, op_class
 from coxlab.core import alternating_word, identity_element
-from coxlab.verify import random_closed_walk, walk_parity_verdict
+from coxlab.verify import (
+    CycleClassCheck,
+    _class_results,
+    random_closed_walk,
+    walk_parity_verdict,
+    worst,
+)
 
 A2 = catalog_matrix("A2")
 A3 = catalog_matrix("A3")
@@ -388,6 +395,85 @@ class TestVerifyParity:
             for _ in range(50):
                 walk = random_closed_walk(g, rng)
                 assert walk_parity_verdict(g, walk, partition) is Verdict.PASS
+
+
+def _per_cycle_parity(graph, partition):
+    """The cycle law rebuilt per cycle: one Counter per fundamental cycle.
+
+    (checks, each cycle's worst verdict, the report's verdict), as
+    verify_parity gave them before it grouped cycles by signature.
+    """
+    op_ids = [op_class(cls.index, partition) for cls in partition.classes]
+    checks, cycle_verdicts = [], []
+    for ci, cycle in enumerate(fundamental_cycles(graph)):
+        counts = Counter(graph.arcs[i].color for i in cycle)
+        results = _class_results(counts, op_ids, partition.exact)
+        checks.extend(CycleClassCheck(ci, *r) for r in results)
+        cycle_verdicts.append(worst(r[-1] for r in results))
+    return tuple(checks), cycle_verdicts, worst(c.verdict for c in checks)
+
+
+def _assert_signatures_match(graph, partition):
+    report = verify_parity(graph, partition)
+    checks, cycle_verdicts, verdict = _per_cycle_parity(graph, partition)
+    assert report.checks == checks
+    assert [
+        worst(row[-1] for row in report.signatures[k]) for k in report.cycle_signatures
+    ] == cycle_verdicts
+    assert report.verdict is verdict
+    return verdict
+
+
+def _provisional(partition):
+    """The same classes, every one marked provisional."""
+    return PairClassPartition(
+        partition.matrix,
+        tuple(dataclasses.replace(cls, exact=False) for cls in partition.classes),
+    )
+
+
+def _check_signatures_on(name, seed):
+    """Every reduced graph of a group, plain and with one arc recoloured,
+    under the exact partition, a provisional copy of it and the radius-0
+    partition; then a few expression graphs."""
+    matrix = catalog_matrix(name)
+    rng = random.Random(seed)
+    exact = default_partition(matrix)
+    radius0 = pair_classes(matrix, radius=0)
+    checked_under = ((exact, (exact, _provisional(exact))), (radius0, (radius0,)))
+    seen = Counter()
+    elements = enumerate_elements(matrix)
+    for element in elements:
+        for colouring, partitions in checked_under:
+            graph = reduced_graph(element, colouring)
+            graphs = [graph]
+            n_classes = len(colouring.classes)
+            if graph.arcs and n_classes > 1:
+                arc = rng.randrange(len(graph.arcs))
+                color = (graph.arcs[arc].color + rng.randrange(1, n_classes)) % n_classes
+                graphs.append(graph.with_arc_color(arc, color))
+            for g in graphs:
+                for partition in partitions:
+                    seen[_assert_signatures_match(g, partition)] += 1
+    for element in elements[: 2 * matrix.rank]:
+        graph = expression_graph(element, element.length + 2, exact)
+        seen[_assert_signatures_match(graph, exact)] += 1
+    return seen
+
+
+class TestParitySignatures:
+    """verify_parity keeps one table of checks per colour multiset; every
+    check and verdict must be the per-cycle rebuild's."""
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("A3", 1), ("B3", 2), ("A4", 3), ("H3", 4), ("I2_7", 5),
+         pytest.param("D4", 6, marks=pytest.mark.slow)],
+    )
+    def test_signatures_match_the_per_cycle_rebuild(self, name, seed):
+        seen = _check_signatures_on(name, seed)
+        # I2(7) has one exact class, so no recolouring and no FAIL
+        assert set(seen) == set(Verdict) - ({Verdict.FAIL} if name == "I2_7" else set())
 
 
 class TestNegativeControls:
