@@ -119,9 +119,10 @@ def _conjugation_orbit(
     if the group gets one.  A group with no table (infinite, or finite but
     past the table's work limit) also has a length guard, the larger of 24
     and the largest finite bond plus one: a conjugate longer than that
-    raises ElementCapExceeded too, which cuts infinite orbits off fast.  Its message claims an infinite orbit only
-    when the group is infinite.  A group with a table is finite, so its
-    orbits always close and need no guard.
+    raises ElementCapExceeded too, which cuts infinite orbits off fast.
+    Its message claims an infinite orbit only when the group is infinite.
+    A group with a table is finite, so its orbits always close and need no
+    guard.
     """
     length_guard = None
     if radius is None and cayley_table(matrix) is None:

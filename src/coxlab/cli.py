@@ -20,7 +20,7 @@ from .braid_graph import (
 )
 from .catalog import catalog_matrix
 from .core import CapExceededError, CoxeterMatrix, enumerate_elements, reduce_word
-from .inversions import inversion_word, occurrence_vector_of
+from .inversions import inversion_word, occurrence_vector
 from .serialize import (
     MatrixFileError,
     dump_json,
@@ -283,7 +283,7 @@ def cmd_invs(args) -> int:
     element = reduce_word(word, matrix)
     if element.length == len(word):
         try:
-            vec = occurrence_vector_of(inv, matrix)
+            vec = occurrence_vector(word, matrix)
             payload["support"] = [
                 {"u": surface_word(u), "v": surface_word(v), "value": 1}
                 for u, v in sorted(vec)

@@ -2,33 +2,37 @@
 
 A group element is represented by its ShortLex-least reduced expression
 (letters are generator indices, ordered first by length, then
-lexicographically).  The word problem has two exact solutions.
+lexicographically).  Each matrix keeps one element store, an ElementIds:
+canonical words numbered by integer ids, an index from words to ids and
+right multiplication by generators.  The store is filled in one of two
+exact ways.
 
 * A finite group whose table is cheap enough (see cayley_table) gets a
-  Cayley table, built once per matrix: Todd-Coxeter coset enumeration
-  (HLT with coincidences) of the trivial subgroup in <S | s^2,
-  (st)^m(s,t)>, then one breadth-first pass over the generators in index
-  order, which numbers the elements in (length, ShortLex) order.  A word
-  is reduced by walking it along the table.  Whether a group may get a
-  table is decided from the matrix alone, by classifying the components of
-  its Coxeter graph, before any coset is defined.  The table is built by
-  the operations that walk the whole group (enumerate_elements without
-  max_length and the exact conjugation closure); once it exists, every
-  canonical form, product and enumeration over the matrix uses it.  A
-  single word does not build it, since Tits' method answers a short word
-  sooner than a large table is built.
-* Every other group, and a single word over a matrix whose table has not
-  been built, uses Tits' method: keep a frontier of words reachable
-  by braid moves; whenever some reachable word contains an adjacent equal
-  pair, delete that pair and start over with the shorter word.  Once no
-  reachable word contains such a pair, the word is reduced and the
-  frontier closure is exactly the set of its reduced expressions, so
-  taking the minimum yields the canonical form.  This is representation-
-  free, at the price of being exponential in element length; it is meant
-  for desk-scale experiments, not for long elements of large groups.
+  complete store, its Cayley table, built once per matrix: Todd-Coxeter
+  coset enumeration (HLT with coincidences) of the trivial subgroup in
+  <S | s^2, (st)^m(s,t)>, then one breadth-first pass over the generators
+  in index order, which numbers the elements in (length, ShortLex) order.
+  Whether a group may get a table is decided from the matrix alone, by
+  classifying the components of its Coxeter graph, before any coset is
+  defined.  The table is built by the operations that walk the whole group
+  (enumerate_elements without max_length and the exact conjugation
+  closure); once it exists, it replaces the interning store and answers
+  every word over the matrix.  A single word does not build it, since
+  Tits' method answers a short word sooner than a large table is built.
+* Every other group, and a matrix whose table has not been built, interns
+  elements as they are reached, by Tits' method: keep a frontier of words
+  reachable by braid moves; whenever some reachable word contains an
+  adjacent equal pair, delete that pair and start over with the shorter
+  word.  Once no reachable word contains such a pair, the word is reduced
+  and the frontier closure is exactly the set of its reduced expressions,
+  so taking the minimum yields the canonical form.  This is
+  representation-free, at the price of being exponential in element
+  length; it is meant for desk-scale experiments, not for long elements of
+  large groups.
 
-All values are immutable; per-matrix caches are plain dicts and safe
-under the GIL.
+Either way a word is reduced by walking it along the store's right
+multiplication from the identity.  All values are immutable; the
+per-matrix stores are plain lists and dicts and safe under the GIL.
 """
 
 from __future__ import annotations
@@ -102,21 +106,20 @@ class CoxeterMatrix:
     """Validated symmetric matrix over {1, 2, 3, ...} u {inf}.
 
     Hashable and compared by entries.  Instances carry per-matrix memos
-    that never affect equality: the Cayley table of a finite group once a
-    whole-group operation has built it (or the decision that the group gets
-    none), canonical forms found by Tits' method, the element ids of the
-    arc law with their memos (see ElementIds) and the outcome of
+    that never affect equality: the element store (see element_ids), which
+    is the Cayley table once a whole-group operation has built it (_table,
+    or False once the group is known to get none) and until then the store
+    Tits' method interns into (_ids); and the outcome of
     braid_graph.conjugate_pair_closure.
     """
 
-    __slots__ = ("entries", "_hash", "_table", "_canon", "_ids", "_closure", "_budget")
+    __slots__ = ("entries", "_hash", "_table", "_ids", "_closure", "_budget")
 
     def __init__(self, entries: tuple[tuple[int | float, ...], ...]):
         self.entries = entries
         self._hash = hash(entries)
-        # None until decided, then the CayleyTable or False for "no table"
-        self._table: CayleyTable | bool | None = None
-        self._canon: dict[Word, Word] = {}
+        # None until decided, then the complete ElementIds or False for "no table"
+        self._table: ElementIds | bool | None = None
         self._ids: ElementIds | None = None
         self._closure: dict | CapExceededError | None = None
         # braid-orbit words Tits' method may still visit, None for no bound
@@ -210,28 +213,6 @@ def _delete_square(word: Word) -> Word | None:
         if word[i] == word[i + 1]:
             return word[:i] + word[i + 2:]
     return None
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class CayleyTable:
-    """The elements of a finite group and their right multiplication.
-
-    words[i] is the canonical word of element i, in (length, ShortLex)
-    order, so words[0] is the identity; index inverts words; right[i][s]
-    is the id of element i times generator s.
-    """
-
-    words: list[Word]
-    index: dict[Word, int]
-    right: list[tuple[int, ...]]
-
-    def walk(self, start: int, word: Word) -> Word:
-        """The canonical word of element `start` times `word`."""
-        x = start
-        right = self.right
-        for s in word:
-            x = right[x][s]
-        return self.words[x]
 
 
 def _arm(neighbors: dict[int, list[int]], start: int, prev: int | None) -> list[int]:
@@ -403,13 +384,14 @@ def _enumerate_cosets(rank: int, relators: list[Word]) -> list[list[int]] | None
     return act
 
 
-def _build_table(rank: int, relators: list[Word], order: int) -> CayleyTable | None:
+def _build_table(matrix: CoxeterMatrix, relators: list[Word], order: int) -> ElementIds | None:
     """Enumerate cosets, then number the elements by one BFS from the identity.
 
     Generators are tried in index order from elements taken in discovery
     order, so each element is first reached along its ShortLex-least reduced
     word and the ids come out in (length, ShortLex) order.
     """
+    rank = matrix.rank
     act = _enumerate_cosets(rank, relators)
     if act is None:
         return None
@@ -430,18 +412,20 @@ def _build_table(rank: int, relators: list[Word], order: int) -> CayleyTable | N
         right.append(tuple(row))
     if len(words) != order:
         raise AssertionError(f"coset enumeration gave {len(words)} elements, not {order}")
-    return CayleyTable(words, {w: i for i, w in enumerate(words)}, right)
+    return ElementIds(matrix, words, right)
 
 
-def cayley_table(matrix: CoxeterMatrix) -> CayleyTable | None:
+def cayley_table(matrix: CoxeterMatrix) -> ElementIds | None:
     """The group's Cayley table, built on the first call and kept on the matrix.
 
-    Decided from the matrix alone, before any coset is defined: a group
-    gets a table when it is finite and one enumeration pass (|W| times the
-    total relator length) stays within _TABLE_WORK_LIMIT.  Otherwise this
-    is None and the word problem runs on Tits' method.  Only whole-group
-    operations call this; the word problem uses `matrix._table or None`,
-    the table if one has been built.
+    The table is a complete ElementIds, and from then on it is the
+    matrix's element store: the store Tits' method had interned into is
+    dropped.  Decided from the matrix alone, before any coset is defined: a
+    group gets a table when it is finite and one enumeration pass (|W| times
+    the total relator length) stays within _TABLE_WORK_LIMIT.  Otherwise
+    this is None and the word problem runs on Tits' method.  Only
+    whole-group operations call this; the word problem uses element_ids,
+    which is the table if one has been built.
     """
     if matrix._table is None:
         order = group_order(matrix)
@@ -454,29 +438,16 @@ def cayley_table(matrix: CoxeterMatrix) -> CayleyTable | None:
                 for t in range(s + 1, n)
             ]
             if order * sum(map(len, relators)) <= _TABLE_WORK_LIMIT:
-                table = _build_table(n, relators, order)
+                table = _build_table(matrix, relators, order)
+        if table is not None:
+            matrix._ids = None
         matrix._table = table or False
     return matrix._table or None
 
 
 def _canonical(matrix: CoxeterMatrix, word: Word) -> Word:
-    table = matrix._table or None
-    if table is not None:
-        return word if word in table.index else table.walk(0, word)
-    cache = matrix._canon
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    current: Word = ()
-    for letter in word:
-        key = current + (letter,)
-        step = cache.get(key)
-        if step is None:
-            step = _canonical_search(matrix, key)
-            cache[key] = step
-        current = step
-    cache[word] = current
-    return current
+    ids = element_ids(matrix)
+    return ids.words[ids.id_of(word)]
 
 
 @contextmanager
@@ -496,8 +467,11 @@ def closure_search_budget(matrix: CoxeterMatrix) -> Iterator[None]:
 def _canonical_search(matrix: CoxeterMatrix, word: Word) -> Word:
     """Tits search on one word: either delete a square or exhaust the orbit.
 
-    Each word of the orbit whose moves are explored spends one unit of the
-    matrix's budget, if closure_search_budget has set one.
+    An exhausted orbit is the set of reduced expressions of one element:
+    its least word is interned in the matrix's element store, and every
+    word of the orbit is indexed to that id.  Each word of the orbit whose
+    moves are explored spends one unit of the matrix's budget, if
+    closure_search_budget has set one.
     """
     shorter = _delete_square(word)
     if shorter is not None:
@@ -526,21 +500,28 @@ def _canonical_search(matrix: CoxeterMatrix, word: Word) -> Word:
         frontier = nxt
     # No deletion anywhere: `seen` is the full set of reduced expressions.
     best = min(seen)
-    canon = matrix._canon
-    for w in seen:
-        canon.setdefault(w, best)
+    ids = element_ids(matrix)
+    x = ids.index.get(best)
+    if x is None:
+        x = len(ids.words)
+        ids.words.append(best)
+        ids.right.append([-1] * matrix.rank)
+    ids.index.update(dict.fromkeys(seen, x))
     return best
 
 
 class ElementIds:
-    """Integer ids for the elements of one matrix, and right multiplication.
+    """The element store of one matrix: integer ids and right multiplication.
 
     words[i] is the canonical word of element i (id 0 is the identity),
-    index inverts words, and walk(x, word) is the id of x times word.  A
-    matrix whose Cayley table has been built lends its table: ids are the
-    table's, and right[x][s] is read off it.  Any other matrix interns
-    canonical words as they are reached, and right[x][s] is -1 until
-    walk first needs it and Tits' method fills it in.  Either way the
+    index maps words to ids, right[x][s] is the id of x times generator s,
+    and walk(x, word) is the id of x times word.  A Cayley table (see
+    cayley_table) is a complete store: its ids are in (length, ShortLex)
+    order, its index holds exactly the canonical words and right is full.
+    Without a table the store starts from the identity alone and Tits'
+    method interns elements as they are reached: right[x][s] is -1 until
+    walk first needs it, and index also holds every reduced expression of
+    an element whose braid orbit a search has exhausted.  Either way the
     callers see one interface.
 
     The arc law's memos live here, keyed by ids: `steps` maps
@@ -554,12 +535,11 @@ class ElementIds:
 
     __slots__ = ("matrix", "words", "index", "right", "steps", "sweeps", "closure", "sweep_words")
 
-    def __init__(self, matrix: CoxeterMatrix, table: CayleyTable | None):
+    def __init__(self, matrix: CoxeterMatrix, words: list[Word], right: list[Sequence[int]]):
         self.matrix = matrix
-        if table is not None:
-            self.words, self.index, self.right = table.words, table.index, table.right
-        else:
-            self.words, self.index, self.right = [()], {(): 0}, [[-1] * matrix.rank]
+        self.words = words
+        self.index = {w: i for i, w in enumerate(words)}
+        self.right = right
         self.steps: dict[int, tuple[int, int]] = {}
         self.sweeps: dict[tuple[int, int], tuple[int, ...]] = {}
         self.closure: dict[int, dict[int, int | tuple[int, ...]]] | None = None
@@ -575,12 +555,10 @@ class ElementIds:
         return x
 
     def _fill(self, x: int, s: int) -> int:
-        word = _canonical(self.matrix, self.words[x] + (s,))
-        y = self.index.get(word)
+        key = self.words[x] + (s,)
+        y = self.index.get(key)
         if y is None:
-            y = self.index[word] = len(self.words)
-            self.words.append(word)
-            self.right.append([-1] * self.matrix.rank)
+            y = self.index[_canonical_search(self.matrix, key)]
         # s is an involution, so the step back is known too
         self.right[x][s] = y
         self.right[y][s] = x
@@ -596,17 +574,16 @@ class ElementIds:
 
 
 def element_ids(matrix: CoxeterMatrix) -> ElementIds:
-    """The matrix's ElementIds, made on the first call.
+    """The matrix's element store: its Cayley table once one is built.
 
-    They are the Cayley table's ids once the table is built: an interning
-    ElementIds made before that is replaced, with its memos, so ids taken
+    Until then it is the store Tits' method interns into, made on the first
+    call.  Building the table drops that store with its memos, so ids taken
     from one call must not be kept across an operation that may build the
     table (see inversions.fixed_ids).
     """
-    ids = matrix._ids
-    table = matrix._table or None
-    if ids is None or (table is not None and ids.words is not table.words):
-        ids = matrix._ids = ElementIds(matrix, table)
+    ids = matrix._table or matrix._ids
+    if ids is None:
+        ids = matrix._ids = ElementIds(matrix, [()], [[-1] * matrix.rank])
     return ids
 
 
@@ -699,11 +676,8 @@ def multiply(a: Element, b: Element) -> Element:
     matrix = a.matrix
     if matrix is not b.matrix and matrix != b.matrix:
         raise ValueError("elements live over different Coxeter matrices")
-    table = matrix._table or None
-    start = None if table is None else table.index.get(a.word)
-    if start is None:
-        return Element(matrix, _canonical(matrix, a.word + b.word))
-    return Element(matrix, table.walk(start, b.word))
+    ids = element_ids(matrix)
+    return Element(matrix, ids.words[ids.walk(ids.id_of(a.word), b.word)])
 
 
 def inverse(a: Element) -> Element:

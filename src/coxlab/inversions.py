@@ -19,10 +19,10 @@ inversion_ids and occurrence_ids are what the arc law calls, and their
 entries, pairs and sweeps are ints.  Each inversion-word entry is memoized
 per (prefix id, letter), a pure function of the word's own prefix, so a
 word's vector is still computed from that word alone.  The public
-functions below (inversion_word, occurrence_vector, occurrence_vector_of)
-wrap them and return reflections and pairs of canonical words, the keys of
-the conjugation closure (braid_graph.PairState).  Nothing is memoized per
-word; the closure, the entry memo and the sweeps live on the CoxeterMatrix.
+functions below (inversion_word, occurrence_vector) wrap them and return
+reflections and pairs of canonical words, the keys of the conjugation
+closure (braid_graph.PairState).  Nothing is memoized per word; the
+closure, the entry memo and the sweeps live on the matrix's element store.
 """
 
 from __future__ import annotations
@@ -214,22 +214,10 @@ def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> frozenset[P
     """Occurrence vector of a reduced word, as pairs of canonical words.
 
     occurrence_ids of the word's inversion_ids, mapped back to words.
+    Raises ValueError when the word is not reduced, and ElementCapExceeded
+    when the conjugation closure cannot be completed.
     """
     w = check_word(word, matrix)
     ids = fixed_ids(matrix)
     return _pair_words(ids, occurrence_ids(inversion_ids(w, matrix), matrix))
 
-
-def occurrence_vector_of(inv: InversionWord, matrix: CoxeterMatrix) -> frozenset[PairState]:
-    """Occurrence vector of the reduced word inv.source, read off inv.
-
-    Returns the support: the (u, v) canonical-word pairs, u before v in
-    inv, that are conjugates of generator pairs (keys of the conjugation
-    closure) and whose sweep is a subword of inv.  Raises ValueError when
-    the word is not reduced, and ElementCapExceeded when the conjugation
-    closure cannot be completed.
-    """
-    ids = fixed_ids(matrix)
-    end = ids.id_of(inv.source)
-    entries = tuple(ids.id_of(r.element.word) for r in inv.entries)
-    return _pair_words(ids, occurrence_ids(InversionIds(inv.source, entries, end), matrix))

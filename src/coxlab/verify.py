@@ -436,44 +436,6 @@ def verify_arc_steps(graph: BraidGraph) -> tuple[Verdict, list[tuple[int, StepRe
     return worst(r.verdict for _, r in results), results
 
 
-def random_closed_walk(
-    graph: BraidGraph, rng: random.Random, max_steps: int = 64
-) -> list[int]:
-    """A directed closed walk, as arc indices (never empty).
-
-    Tries random walking back to the start; falls back to out-and-back
-    over paired arcs, which is always a closed walk.
-    """
-    lookup = _arc_lookup(graph)
-    out: dict[int, list[int]] = {i: [] for i in range(len(graph.vertices))}
-    for i, arc in enumerate(graph.arcs):
-        out[arc.source].append(i)
-    start = rng.randrange(len(graph.vertices))
-    if out[start]:
-        for _ in range(8):
-            walk = []
-            here = start
-            for _ in range(max_steps):
-                arc_id = rng.choice(out[here])
-                walk.append(arc_id)
-                here = graph.arcs[arc_id].target
-                if here == start:
-                    return walk
-    if not out[start]:
-        raise ValueError("start vertex has no outgoing arcs")
-    forward = rng.choice(out[start])
-    arc = graph.arcs[forward]
-    return [forward, lookup[(arc.target, arc.source)]]
-
-
-def walk_parity_verdict(
-    graph: BraidGraph, walk: Sequence[int], partition: PairClassPartition
-) -> Verdict:
-    op_ids = [op_class(cls.index, partition) for cls in partition.classes]
-    counts = Counter(graph.arcs[i].color for i in walk)
-    return worst(result[-1] for result in _class_results(counts, op_ids, partition.exact))
-
-
 # ---------------------------------------------------------------------------
 # randomized property harness
 
@@ -546,8 +508,9 @@ def property_harness(
     only the subword properties, whose pairs need not be such conjugates.
     In an infinite group a subword pair is skipped, as on the cap, once its
     sweep leaves the inversion word: it cannot embed there, and walking it
-    to order_cap may never end (uv can have infinite order).  Failures carry shrunk witnesses.  Zero failures is the expected
-    outcome; anything else indicates an implementation bug.
+    to order_cap may never end (uv can have infinite order).  Failures
+    carry shrunk witnesses.  Zero failures is the expected outcome;
+    anything else indicates an implementation bug.
     """
     rank = matrix.rank
     rng = random.Random(seed)

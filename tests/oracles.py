@@ -4,9 +4,17 @@ Each model multiplies elements directly (permutations, signed permutations,
 dihedral symmetries) and never touches the word machinery under test.
 Lengths, descents and reduced-word counts are derived from a breadth-first
 sweep of the weak order, so they stay independent of any braid-move code.
+
+The closed-walk helpers at the end are not models: they sample directed
+closed walks of a braid graph, beyond its fundamental cycles, and judge
+each with the cycle law's own class check.
 """
 
+from collections import Counter
 from functools import lru_cache
+
+from coxlab.braid_graph import op_class
+from coxlab.verify import _arc_lookup, _class_results, worst
 
 
 class ConcreteGroup:
@@ -225,3 +233,38 @@ def perm_cycles(perm):
         if len(cyc) > 1:
             out.append(tuple(cyc))
     return tuple(out)
+
+
+def random_closed_walk(graph, rng, max_steps=64):
+    """A directed closed walk, as arc indices (never empty).
+
+    Tries random walking back to the start; falls back to out-and-back
+    over paired arcs, which is always a closed walk.
+    """
+    lookup = _arc_lookup(graph)
+    out = {i: [] for i in range(len(graph.vertices))}
+    for i, arc in enumerate(graph.arcs):
+        out[arc.source].append(i)
+    start = rng.randrange(len(graph.vertices))
+    if out[start]:
+        for _ in range(8):
+            walk = []
+            here = start
+            for _ in range(max_steps):
+                arc_id = rng.choice(out[here])
+                walk.append(arc_id)
+                here = graph.arcs[arc_id].target
+                if here == start:
+                    return walk
+    if not out[start]:
+        raise ValueError("start vertex has no outgoing arcs")
+    forward = rng.choice(out[start])
+    arc = graph.arcs[forward]
+    return [forward, lookup[(arc.target, arc.source)]]
+
+
+def walk_parity_verdict(graph, walk, partition):
+    """The worst cycle-law verdict over the classes of a closed walk."""
+    op_ids = [op_class(cls.index, partition) for cls in partition.classes]
+    counts = Counter(graph.arcs[i].color for i in walk)
+    return worst(result[-1] for result in _class_results(counts, op_ids, partition.exact))

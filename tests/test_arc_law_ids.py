@@ -155,3 +155,8 @@ def test_classes_and_enumeration_make_no_ids():
     pair_classes(matrix)
     enumerate_elements(matrix)
     assert matrix._ids is None
+    # the table is the matrix's element store, and its arc-law memos stay empty
+    table = element_ids(matrix)
+    assert table is matrix._table
+    assert not table.steps and not table.sweeps and not table.sweep_words
+    assert table.closure is None

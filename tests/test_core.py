@@ -27,7 +27,14 @@ from coxlab import (
     validate_matrix,
 )
 from coxlab.catalog import _from_bonds
-from coxlab.core import CoxeterMatrix, _canonical_search, cayley_table, dihedral_subgroup
+from coxlab.core import (
+    CoxeterMatrix,
+    _canonical,
+    _canonical_search,
+    cayley_table,
+    dihedral_subgroup,
+    element_ids,
+)
 
 from oracles import dihedral_oracle, signed_oracle, symmetric_oracle
 
@@ -445,6 +452,35 @@ class TestCayleyTable:
         monkeypatch.setattr(core, "_canonical_search", no_search)
         assert reduce_word((2, 1, 0, 0, 1, 2, 1), b3).word == (1,)
         assert multiply(a, a).word == reduce_word(a.word * 2, b3).word
+
+    def test_the_table_replaces_the_interned_store(self):
+        # words reduced by Tits' method before the table is built are
+        # interned in a store that the table then replaces: one store per
+        # matrix, and its answers still agree with Tits' method
+        b3 = catalog_matrix("B3")
+        word = (2, 1, 0, 0, 1, 2, 1, 0)
+        before = reduce_word(word, b3).word
+        assert b3._ids is not None and b3._table is None
+        assert len(enumerate_elements(b3)) == 48
+        assert b3._ids is None
+        assert element_ids(b3) is cayley_table(b3)
+        tits = _without_table(b3)
+        assert _canonical(b3, word) == before == _canonical_search(tits, word)
+        for element in enumerate_elements(b3):
+            reversed_word = element.word[::-1]
+            assert _canonical(b3, reversed_word) == _canonical_search(tits, reversed_word)
+
+    def test_interned_store_aliases_every_reduced_expression(self):
+        # an exhausted braid orbit is interned once: every reduced
+        # expression of the element is indexed to the id of the least one
+        tits = _without_table(B3)
+        ids = element_ids(tits)
+        element = reduce_word((2, 1, 0, 1, 2), tits)
+        x = ids.index[element.word]
+        assert ids.words[x] == element.word
+        for word in reduced_expressions(element):
+            assert ids.index[word] == x
+        assert element_ids(tits) is ids and tits._ids is ids
 
     @pytest.mark.slow
     def test_a5_matches_tits_on_every_element(self):

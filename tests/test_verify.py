@@ -24,13 +24,8 @@ from coxlab import (
 )
 from coxlab.braid_graph import PairClassPartition, default_partition, op_class
 from coxlab.core import alternating_word, identity_element
-from coxlab.verify import (
-    CycleClassCheck,
-    _class_results,
-    random_closed_walk,
-    walk_parity_verdict,
-    worst,
-)
+from coxlab.verify import CycleClassCheck, _class_results, worst
+from oracles import random_closed_walk, walk_parity_verdict
 
 A2 = catalog_matrix("A2")
 A3 = catalog_matrix("A3")
