@@ -4,10 +4,13 @@ The graph of an element has one vertex per expression and one arc per
 braid move; arcs carry the move's generator pair, its position, and a
 color identifying the simultaneous-conjugacy class of the pair.  Classes
 are computed by orbit closure: conjugating a pair of reflections by the
-generators until nothing new appears.  When every orbit closes within the
-element cap the partition is exact (with a conjugating witness stored per
-member); otherwise callers fall back to a bounded-radius search whose
-classes are only provisional, i.e. possibly finer than the truth.
+generators until nothing new appears.  The closure runs on the matrix's
+element ids (core.ElementIds), and the exact one is kept on that store,
+where the arc law reads its pairs too (inversions.occurrence_ids).  When
+every orbit closes within the element cap the partition is exact (with a
+conjugating witness stored per member); otherwise callers fall back to a
+bounded-radius search whose classes are only provisional, i.e. possibly
+finer than the truth.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ from .core import (
     cayley_table,
     check_word,
     closure_search_budget,
-    conjugate,
-    generator_element,
+    ElementIds,
+    element_ids,
     group_order,
-    identity_element,
-    multiply,
 )
 
 GenPair = tuple[int, int]
@@ -94,123 +95,121 @@ def op_class(class_id: int, partition: PairClassPartition) -> int:
     return partition.class_of((t, s))
 
 
-PairState = tuple[Word, Word]
-
-
-def _pair_state(u: Element, v: Element) -> PairState:
-    return (u.word, v.word)
+def _pair_ids(ids: ElementIds, pair: GenPair) -> tuple[int, int]:
+    return ids.walk(0, pair[:1]), ids.walk(0, pair[1:])
 
 
 def _conjugation_orbit(
-    matrix: CoxeterMatrix,
-    pair: GenPair,
-    radius: int | None,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    closed: int = 0,
-) -> dict[PairState, Element]:
-    """Conjugate a generator pair by generators, breadth first.
+    matrix: CoxeterMatrix, pair: GenPair, radius: int | None, closed: int = 0
+) -> dict[tuple[int, int], int]:
+    """Conjugate a generator pair by generators, breadth first, on element ids.
 
-    Maps every reached pair of reflections (u, v) to a witness q with
+    Maps every reached pair of reflection ids (u, v) to a witness id q with
     (u, v) = q . pair . q^-1, in discovery order.  With a radius r only
     conjugating words of length <= r are tried.  With radius=None the
     orbit is closed, and ElementCapExceeded is raised when the `closed`
-    states of earlier orbits plus this orbit reach the cap.  The exact
-    closure walks the whole group, so it builds the group's Cayley table
-    if the group gets one.  A group with no table (infinite, or finite but
-    past the table's work limit) also has a length guard, the larger of 24
-    and the largest finite bond plus one: a conjugate longer than that
-    raises ElementCapExceeded too, which cuts infinite orbits off fast.
-    Its message claims an infinite orbit only when the group is infinite.
-    A group with a table is finite, so its orbits always close and need no
-    guard.
+    states of earlier orbits plus this orbit reach DEFAULT_ELEMENT_CAP.  A
+    group with no Cayley table (infinite, or finite but past the table's
+    work limit) also has a length guard, the larger of 24 and the largest
+    finite bond plus one: a conjugate longer than that raises
+    ElementCapExceeded too, which cuts infinite orbits off fast.  Its
+    message claims an infinite orbit only when the group is infinite.  A
+    group with a table is finite, so its orbits always close and need no
+    guard.  The ids are those of element_ids(matrix), so an exact orbit
+    must be run after the table has been decided (see
+    conjugate_pair_closure).
     """
     length_guard = None
-    if radius is None and cayley_table(matrix) is None:
+    if radius is None and not matrix._table:
         finite_bonds = [int(matrix.m(s, t)) for s, t in finite_pairs(matrix)]
         length_guard = max(24, max(finite_bonds, default=2) + 1)
         infinite = group_order(matrix) is None
         claim = "orbit looks infinite" if infinite else "orbit passed the length guard"
-    gens = [generator_element(matrix, i) for i in range(matrix.rank)]
-    identity = identity_element(matrix)
-    su, sv = gens[pair[0]], gens[pair[1]]
-    orbit = {_pair_state(su, sv): identity}
-    frontier = [(su, sv, identity)]
+    ids = element_ids(matrix)
+    words, walk = ids.words, ids.walk
+    start = _pair_ids(ids, pair)
+    orbit = {start: 0}
+    frontier = [(*start, 0)]
     depth = 0
     while frontier and (radius is None or depth < radius):
         nxt = []
         for u, v, witness in frontier:
-            for g in gens:
-                cu = conjugate(g, u)
-                cv = conjugate(g, v)
-                st = _pair_state(cu, cv)
+            for g in range(matrix.rank):
+                # g u g^-1 and g v g^-1, as g is an involution
+                st = (walk(0, (g, *words[u], g)), walk(0, (g, *words[v], g)))
                 if st in orbit:
                     continue
                 if radius is None:
-                    if closed + len(orbit) >= element_cap:
+                    if closed + len(orbit) >= DEFAULT_ELEMENT_CAP:
                         raise ElementCapExceeded(
-                            element_cap, "conjugation closure exceeded element cap"
+                            DEFAULT_ELEMENT_CAP, "conjugation closure exceeded element cap"
                         )
-                    if length_guard is not None and max(cu.length, cv.length) > length_guard:
+                    if length_guard is not None and max(len(words[x]) for x in st) > length_guard:
                         raise ElementCapExceeded(
                             length_guard, f"conjugates exceed length {length_guard}; {claim}"
                         )
-                q = multiply(g, witness)
-                orbit[st] = q
-                nxt.append((cu, cv, q))
+                q = orbit[st] = walk(0, (g, *words[witness]))
+                nxt.append((*st, q))
         frontier = nxt
         depth += 1
     return orbit
 
 
-def _conjugation_closure(
-    matrix: CoxeterMatrix, element_cap: int
-) -> dict[PairState, tuple[GenPair, Element, int]]:
-    """Close the generator pairs under conjugation by generators.
+def _conjugation_closure(matrix: CoxeterMatrix) -> dict[tuple[int, int], tuple[GenPair, int, int]]:
+    """Close the generator pairs under conjugation by generators, on element ids.
 
-    Maps every reachable pair of reflections (u, v) to (seed pair, witness
-    q with (u, v) = q . seed . q^-1, m(seed)).  Seeds are scanned in lex
-    order, so each orbit is keyed by its lex-least generator pair.  The
-    element cap counts the whole closure, not one orbit.  Tits' method, the
-    word problem of a group without a Cayley table, runs under
+    Maps every reachable pair of reflection ids (u, v) to (seed pair,
+    witness id q with (u, v) = q . seed . q^-1, m(seed)).  Seeds are
+    scanned in lex order, so each orbit is keyed by its lex-least generator
+    pair.  The element cap counts the whole closure, not one orbit.  Tits'
+    method, the word problem of a group without a Cayley table, runs under
     closure_search_budget meanwhile: a closure whose orbit searches pass it
     raises ElementCapExceeded too.
     """
-    gens = [generator_element(matrix, i) for i in range(matrix.rank)]
-    closure: dict[PairState, tuple[GenPair, Element, int]] = {}
+    closure: dict[tuple[int, int], tuple[GenPair, int, int]] = {}
     with closure_search_budget(matrix):
+        ids = element_ids(matrix)
         for seed in finite_pairs(matrix):
-            if _pair_state(gens[seed[0]], gens[seed[1]]) in closure:
+            if _pair_ids(ids, seed) in closure:
                 continue
             m = int(matrix.m(*seed))
-            orbit = _conjugation_orbit(matrix, seed, None, element_cap, len(closure))
+            orbit = _conjugation_orbit(matrix, seed, None, len(closure))
             closure.update((st, (seed, q, m)) for st, q in orbit.items())
     return closure
 
 
-def conjugate_pair_closure(
-    matrix: CoxeterMatrix, element_cap: int = DEFAULT_ELEMENT_CAP
-) -> dict[PairState, tuple[GenPair, Element, int]]:
-    """Closure of generator pairs under conjugation (the exact orbits).
+def conjugate_pair_closure(matrix: CoxeterMatrix) -> dict[int, dict[int, int | tuple[int, ...]]]:
+    """The exact conjugation closure, as partners[u][v] on element ids.
 
-    At the default cap the closure, or the cap error, is memoized on the matrix.
+    The Cayley table is decided first, then the closure, or the
+    ElementCapExceeded that cut it off, is memoized on element_ids(matrix):
+    `closure` holds partners[u][v], which is m(seed pair) until the arc
+    law first needs the sweep of (u, v) and swaps in the sweep's middle
+    (inversions.occurrence_ids); `seeds` maps each seed to its generator
+    pairs with their witness ids.
     """
-    if element_cap != DEFAULT_ELEMENT_CAP:
-        return _conjugation_closure(matrix, element_cap)
-    if matrix._closure is None:
+    cayley_table(matrix)
+    ids = element_ids(matrix)
+    if ids.closure is None:
         try:
-            matrix._closure = _conjugation_closure(matrix, element_cap)
+            closure = _conjugation_closure(matrix)
         except ElementCapExceeded as exc:
-            matrix._closure = exc.with_traceback(None)  # frees the partial orbit
-    if isinstance(matrix._closure, ElementCapExceeded):
-        raise ElementCapExceeded(matrix._closure.cap, str(matrix._closure))
-    return matrix._closure
+            ids.closure = exc.with_traceback(None)  # frees the partial orbit
+        else:
+            partners: dict[int, dict[int, int | tuple[int, ...]]] = {}
+            for (u, v), (_, _, m) in closure.items():
+                partners.setdefault(u, {})[v] = m
+            seeds: dict[GenPair, dict[GenPair, int]] = {}
+            for pair in finite_pairs(matrix):
+                seed, witness, _ = closure[_pair_ids(ids, pair)]
+                seeds.setdefault(seed, {})[pair] = witness
+            ids.closure, ids.seeds = partners, seeds
+    if isinstance(ids.closure, ElementCapExceeded):
+        raise ElementCapExceeded(ids.closure.cap, str(ids.closure))
+    return ids.closure
 
 
-def pair_classes(
-    matrix: CoxeterMatrix,
-    radius: int | None = None,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-) -> PairClassPartition:
+def pair_classes(matrix: CoxeterMatrix, radius: int | None = None) -> PairClassPartition:
     """Partition the generator pairs by simultaneous conjugacy.
 
     With radius=None the orbits are closed exactly (ElementCapExceeded if
@@ -220,16 +219,11 @@ def pair_classes(
     """
     if radius is not None:
         return _radius_partition(matrix, radius)
-    closure = conjugate_pair_closure(matrix, element_cap)
-    gens = [generator_element(matrix, i) for i in range(matrix.rank)]
-    grouped: dict[GenPair, dict[GenPair, Element]] = {}
-    for pair in finite_pairs(matrix):
-        state = _pair_state(gens[pair[0]], gens[pair[1]])
-        seed, witness, _ = closure[state]
-        grouped.setdefault(seed, {})[pair] = witness
+    conjugate_pair_closure(matrix)
+    ids = element_ids(matrix)
     classes = []
-    for index, seed in enumerate(sorted(grouped)):
-        members = grouped[seed]
+    for index, seed in enumerate(sorted(ids.seeds)):
+        members = {pair: ids.element(q) for pair, q in ids.seeds[seed].items()}
         classes.append(
             PairClass(
                 index=index,
@@ -243,19 +237,18 @@ def pair_classes(
 
 
 def _radius_partition(matrix: CoxeterMatrix, radius: int) -> PairClassPartition:
-    gens = [generator_element(matrix, i) for i in range(matrix.rank)]
+    ids = element_ids(matrix)
     pairs = finite_pairs(matrix)
-    base = {pair: _pair_state(gens[pair[0]], gens[pair[1]]) for pair in pairs}
-    state_to_pair = {state: pair for pair, state in base.items()}
+    state_to_pair = {_pair_ids(ids, pair): pair for pair in pairs}
 
     # merges[(P, Q)] = q with q . P . q^-1 = Q, found within the radius
-    merges: dict[tuple[GenPair, GenPair], Element] = {}
+    merges: dict[tuple[GenPair, GenPair], int] = {}
     for pair in pairs:
         for st, q in _conjugation_orbit(matrix, pair, radius).items():
             other = state_to_pair.get(st)
             if other is not None and other != pair:
                 merges.setdefault((pair, other), q)
-                merges.setdefault((other, pair), ~q)
+                merges.setdefault((other, pair), ids.id_of(ids.words[q][::-1]))
 
     # connected components over the merge edges, with witnesses rooted at
     # the lex-least member of each component
@@ -267,14 +260,14 @@ def _radius_partition(matrix: CoxeterMatrix, radius: int) -> PairClassPartition:
     for rep in pairs:
         if rep not in unassigned:
             continue
-        witnesses = {rep: identity_element(matrix)}
+        witnesses = {rep: 0}
         queue = [rep]
         while queue:
             current = queue.pop(0)
             for nxt in sorted(neighbors[current]):
                 if nxt in witnesses:
                     continue
-                witnesses[nxt] = multiply(merges[(current, nxt)], witnesses[current])
+                witnesses[nxt] = ids.walk(merges[(current, nxt)], ids.words[witnesses[current]])
                 queue.append(nxt)
         unassigned -= witnesses.keys()
         classes.append((rep, witnesses))
@@ -286,7 +279,7 @@ def _radius_partition(matrix: CoxeterMatrix, radius: int) -> PairClassPartition:
                 pairs=tuple(sorted(witnesses)),
                 exact=False,
                 radius=radius,
-                witnesses=witnesses,
+                witnesses={pair: ids.element(q) for pair, q in witnesses.items()},
             )
         )
     return PairClassPartition(matrix=matrix, classes=tuple(out))

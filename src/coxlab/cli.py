@@ -240,15 +240,19 @@ class _BlockWriter:
 
     def flush(self) -> None:
         if self._pending:
-            self._write("".join(self._pending))
+            # the pieces go before the write, which may wait on the reader
+            block = "".join(self._pending)
             self._pending.clear()
             self._length = 0
+            self._write(block)
 
 
 def cmd_verify(args) -> int:
     matrix = _load_matrix(args)
     if bool(args.word is not None) == bool(args.all_elements):
         raise UsageError("choose exactly one of --word or --all-elements")
+    if args.max_length is not None and not args.all_elements:
+        raise UsageError("--max-length bounds --all-elements; pass it with --all-elements")
     partition = _partition(matrix, args.radius)
     if args.word is not None:
         word = _parse_word(args.word, matrix)

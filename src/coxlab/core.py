@@ -109,11 +109,11 @@ class CoxeterMatrix:
     that never affect equality: the element store (see element_ids), which
     is the Cayley table once a whole-group operation has built it (_table,
     or False once the group is known to get none) and until then the store
-    Tits' method interns into (_ids); and the outcome of
-    braid_graph.conjugate_pair_closure.
+    Tits' method interns into (_ids).  Everything else memoized per matrix,
+    the conjugation closure included, lives on that store.
     """
 
-    __slots__ = ("entries", "_hash", "_table", "_ids", "_closure", "_budget")
+    __slots__ = ("entries", "_hash", "_table", "_ids", "_budget")
 
     def __init__(self, entries: tuple[tuple[int | float, ...], ...]):
         self.entries = entries
@@ -121,7 +121,6 @@ class CoxeterMatrix:
         # None until decided, then the complete ElementIds or False for "no table"
         self._table: ElementIds | bool | None = None
         self._ids: ElementIds | None = None
-        self._closure: dict | CapExceededError | None = None
         # braid-orbit words Tits' method may still visit, None for no bound
         self._budget: int | None = None
 
@@ -524,25 +523,30 @@ class ElementIds:
     an element whose braid orbit a search has exhausted.  Either way the
     callers see one interface.
 
-    The arc law's memos live here, keyed by ids: `steps` maps
-    prefix id * rank + letter to (the id of prefix.letter, the id of the
-    inversion-word entry prefix.letter.prefix^-1); `sweeps` maps a pair of
-    reflection ids to the ids of its dihedral sweep; `closure` is the
-    conjugation closure on ids (inversions._closure_ids); `sweep_words`
-    keeps the DihedralReflectionWord wrappers handed out by
-    dihedral_reflection_word.
+    The memos of the conjugation closure and the arc law live here, keyed
+    by ids: `closure` is the exact conjugation closure as partners[u][v],
+    or the ElementCapExceeded that cut it off, and `seeds` maps each
+    closure seed to its generator pairs with their witness ids (both from
+    braid_graph.conjugate_pair_closure); `steps` maps prefix id * rank +
+    letter to (the id of prefix.letter, the id of the inversion-word entry
+    prefix.letter.prefix^-1); `sweeps` maps a pair of reflection ids to the
+    ids of its dihedral sweep; `sweep_words` keeps the
+    DihedralReflectionWord wrappers handed out by dihedral_reflection_word.
     """
 
-    __slots__ = ("matrix", "words", "index", "right", "steps", "sweeps", "closure", "sweep_words")
+    __slots__ = (
+        "matrix", "words", "index", "right", "closure", "seeds", "steps", "sweeps", "sweep_words"
+    )
 
     def __init__(self, matrix: CoxeterMatrix, words: list[Word], right: list[Sequence[int]]):
         self.matrix = matrix
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.right = right
+        self.closure: dict[int, dict[int, int | tuple[int, ...]]] | ElementCapExceeded | None = None
+        self.seeds: dict[tuple[int, int], dict[tuple[int, int], int]] | None = None
         self.steps: dict[int, tuple[int, int]] = {}
         self.sweeps: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.closure: dict[int, dict[int, int | tuple[int, ...]]] | None = None
         self.sweep_words: dict[tuple[int, int], DihedralReflectionWord] = {}
 
     def walk(self, x: int, word: Sequence[int]) -> int:

@@ -18,11 +18,12 @@ The work runs on the matrix's element ids (core.ElementIds):
 inversion_ids and occurrence_ids are what the arc law calls, and their
 entries, pairs and sweeps are ints.  Each inversion-word entry is memoized
 per (prefix id, letter), a pure function of the word's own prefix, so a
-word's vector is still computed from that word alone.  The public
-functions below (inversion_word, occurrence_vector) wrap them and return
-reflections and pairs of canonical words, the keys of the conjugation
-closure (braid_graph.PairState).  Nothing is memoized per word; the
-closure, the entry memo and the sweeps live on the matrix's element store.
+word's vector is still computed from that word alone.  The candidate
+pairs are the keys of the conjugation closure, which is kept on the same
+ids (braid_graph.conjugate_pair_closure).  The public functions below
+(inversion_word, occurrence_vector) wrap them and return reflections and
+pairs of canonical words.  Nothing is memoized per word; the closure, the
+entry memo and the sweeps live on the matrix's element store.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .braid_graph import ElementCapExceeded, PairState, conjugate_pair_closure
+from .braid_graph import ElementCapExceeded, conjugate_pair_closure
 from .core import (
     CoxeterMatrix,
     DEFAULT_ORDER_CAP,
@@ -86,24 +87,6 @@ def inversion_ids(word: Word, matrix: CoxeterMatrix) -> InversionIds:
     return InversionIds(word, tuple(entries), prefix)
 
 
-def _closure_ids(matrix: CoxeterMatrix) -> dict[int, dict[int, int | tuple[int, ...]]]:
-    """The conjugation closure on element ids, as partners[u][v].
-
-    Mapped from braid_graph.conjugate_pair_closure once per ElementIds.  An
-    entry is m(seed pair) until a vector first needs the sweep of (u, v);
-    then it becomes the sweep's middle, the entries strictly between u and
-    v.  Raises ElementCapExceeded when the closure cannot be completed.
-    """
-    closure = conjugate_pair_closure(matrix)
-    ids = element_ids(matrix)
-    if ids.closure is None:
-        partners: dict[int, dict[int, int | tuple[int, ...]]] = {}
-        for (u, v), (_, _, m) in closure.items():
-            partners.setdefault(ids.id_of(u), {})[ids.id_of(v)] = m
-        ids.closure = partners
-    return ids.closure
-
-
 def occurrence_ids(inv: InversionIds, matrix: CoxeterMatrix) -> frozenset[tuple[int, int]]:
     """Occurrence vector of the reduced word inv.source, as pairs of ids.
 
@@ -117,7 +100,7 @@ def occurrence_ids(inv: InversionIds, matrix: CoxeterMatrix) -> frozenset[tuple[
     ids = element_ids(matrix)
     if len(ids.words[inv.end]) != len(inv.source):
         raise ValueError("occurrence_vector requires a reduced word")
-    partners = _closure_ids(matrix)
+    partners = conjugate_pair_closure(matrix)
     entries = inv.entries
     position = {x: i for i, x in enumerate(entries)}
     support = []
@@ -205,12 +188,12 @@ def subword_embedding_count(
     return ways[len(pattern)]
 
 
-def _pair_words(ids: ElementIds, support: frozenset[tuple[int, int]]) -> frozenset[PairState]:
+def _pair_words(ids: ElementIds, support: frozenset[tuple[int, int]]) -> frozenset[tuple[Word, Word]]:
     words = ids.words
     return frozenset((words[u], words[v]) for u, v in support)
 
 
-def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> frozenset[PairState]:
+def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> frozenset[tuple[Word, Word]]:
     """Occurrence vector of a reduced word, as pairs of canonical words.
 
     occurrence_ids of the word's inversion_ids, mapped back to words.

@@ -5,15 +5,31 @@ dihedral symmetries) and never touches the word machinery under test.
 Lengths, descents and reduced-word counts are derived from a breadth-first
 sweep of the weak order, so they stay independent of any braid-move code.
 
-The closed-walk helpers at the end are not models: they sample directed
-closed walks of a braid graph, beyond its fundamental cycles, and judge
-each with the cycle law's own class check.
+The closed-walk helpers are not models: they sample directed closed walks
+of a braid graph, beyond its fundamental cycles, and judge each with the
+cycle law's own class check.
+
+The conjugation-closure helpers at the end keep the closure's former
+construction, a breadth-first search on Element products keyed by pairs
+of canonical words, as the reference for the closure on element ids; and
+closure_words reads that closure back as words.
 """
 
 from collections import Counter
 from functools import lru_cache
 
-from coxlab.braid_graph import op_class
+from coxlab.braid_graph import conjugate_pair_closure, finite_pairs, op_class
+from coxlab.core import (
+    DEFAULT_ELEMENT_CAP,
+    ElementCapExceeded,
+    closure_search_budget,
+    conjugate,
+    element_ids,
+    generator_element,
+    group_order,
+    identity_element,
+    multiply,
+)
 from coxlab.verify import _arc_lookup, _class_results, worst
 
 
@@ -268,3 +284,82 @@ def walk_parity_verdict(graph, walk, partition):
     op_ids = [op_class(cls.index, partition) for cls in partition.classes]
     counts = Counter(graph.arcs[i].color for i in walk)
     return worst(result[-1] for result in _class_results(counts, op_ids, partition.exact))
+
+
+def reference_orbit(matrix, pair, radius, closed=0):
+    """Conjugate a generator pair by generators, breadth first, on Elements.
+
+    Maps every reached pair of reflections, as a pair of canonical words,
+    to a witness Element q with (u, v) = q . pair . q^-1, in discovery
+    order; the exact orbit (radius=None) raises ElementCapExceeded with
+    the messages and caps of braid_graph._conjugation_orbit.  The exact
+    orbit expects the Cayley table to be decided already.
+    """
+    length_guard = None
+    if radius is None and not matrix._table:
+        finite_bonds = [int(matrix.m(s, t)) for s, t in finite_pairs(matrix)]
+        length_guard = max(24, max(finite_bonds, default=2) + 1)
+        infinite = group_order(matrix) is None
+        claim = "orbit looks infinite" if infinite else "orbit passed the length guard"
+    gens = [generator_element(matrix, i) for i in range(matrix.rank)]
+    identity = identity_element(matrix)
+    su, sv = gens[pair[0]], gens[pair[1]]
+    orbit = {(su.word, sv.word): identity}
+    frontier = [(su, sv, identity)]
+    depth = 0
+    while frontier and (radius is None or depth < radius):
+        nxt = []
+        for u, v, witness in frontier:
+            for g in gens:
+                cu = conjugate(g, u)
+                cv = conjugate(g, v)
+                st = (cu.word, cv.word)
+                if st in orbit:
+                    continue
+                if radius is None:
+                    if closed + len(orbit) >= DEFAULT_ELEMENT_CAP:
+                        raise ElementCapExceeded(
+                            DEFAULT_ELEMENT_CAP, "conjugation closure exceeded element cap"
+                        )
+                    if length_guard is not None and max(cu.length, cv.length) > length_guard:
+                        raise ElementCapExceeded(
+                            length_guard, f"conjugates exceed length {length_guard}; {claim}"
+                        )
+                q = multiply(g, witness)
+                orbit[st] = q
+                nxt.append((cu, cv, q))
+        frontier = nxt
+        depth += 1
+    return orbit
+
+
+def reference_closure(matrix):
+    """The exact closure on Elements: word pair -> (seed, witness, m).
+
+    Seeds are scanned in lex order and the orbits run under the closure's
+    search budget, as in braid_graph._conjugation_closure.
+    """
+    closure = {}
+    with closure_search_budget(matrix):
+        for seed in finite_pairs(matrix):
+            if ((seed[0],), (seed[1],)) in closure:
+                continue
+            m = int(matrix.m(*seed))
+            orbit = reference_orbit(matrix, seed, None, len(closure))
+            closure.update((st, (seed, q, m)) for st, q in orbit.items())
+    return closure
+
+
+def closure_words(matrix):
+    """The memoized exact closure, partners[u][v], as {(word u, word v): m}.
+
+    An entry the arc law has already swapped for its sweep's middle still
+    reads as m, the middle's length plus two.
+    """
+    partners = conjugate_pair_closure(matrix)
+    words = element_ids(matrix).words
+    return {
+        (words[u], words[v]): entry if isinstance(entry, int) else len(entry) + 2
+        for u, mine in partners.items()
+        for v, entry in mine.items()
+    }

@@ -25,9 +25,10 @@ from coxlab import (
     reduced_graph,
     verify_arc_steps,
 )
-from coxlab.braid_graph import conjugate_pair_closure
 from coxlab.core import CoxeterMatrix, Element, element_ids
 from coxlab.inversions import fixed_ids, inversion_ids, occurrence_ids
+
+from oracles import closure_words
 
 
 def rebuilt_inversion_word(word, matrix):
@@ -51,7 +52,7 @@ class Oracle:
     def __init__(self, matrix):
         self.matrix = matrix
         self.sweeps = {}
-        for (u, v), (_, _, m) in conjugate_pair_closure(matrix).items():
+        for (u, v), m in closure_words(matrix).items():
             ue, ve = Element(matrix, u), Element(matrix, v)
             step = multiply(ue, ve)
             entries = [ue]
@@ -155,8 +156,10 @@ def test_classes_and_enumeration_make_no_ids():
     pair_classes(matrix)
     enumerate_elements(matrix)
     assert matrix._ids is None
-    # the table is the matrix's element store, and its arc-law memos stay empty
+    # the table is the matrix's element store; it keeps the closure that
+    # `classes` built, and no sweep has been walked: every partner entry is
+    # still m, and the arc-law memos stay empty
     table = element_ids(matrix)
     assert table is matrix._table
+    assert all(m.__class__ is int for mine in table.closure.values() for m in mine.values())
     assert not table.steps and not table.sweeps and not table.sweep_words
-    assert table.closure is None

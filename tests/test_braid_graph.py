@@ -22,7 +22,15 @@ from coxlab import (
     validate_matrix,
 )
 
-from oracles import dihedral_oracle, signed_oracle, symmetric_oracle
+from coxlab.core import CoxeterMatrix, cayley_table, element_ids
+from oracles import (
+    closure_words,
+    dihedral_oracle,
+    reference_closure,
+    reference_orbit,
+    signed_oracle,
+    symmetric_oracle,
+)
 
 A2 = catalog_matrix("A2")
 A3 = catalog_matrix("A3")
@@ -253,7 +261,7 @@ class TestPairClasses:
         h4 = catalog_matrix("H4")
         exact = pair_classes(h4)
         assert exact.exact and len(exact.classes) == 3
-        assert len(bg.conjugate_pair_closure(h4)) == 2820
+        assert len(closure_words(h4)) == 2820
         exact_index = {p: c.index for c in exact.classes for p in c.pairs}
         for radius in range(7):
             provisional = pair_classes(h4, radius=radius)
@@ -271,7 +279,6 @@ class TestPairClasses:
         # finite group infinite.  The guard is reached after about 735 000
         # braid-orbit words, so the search budget is lifted here.
         import coxlab.core
-        from coxlab.core import CoxeterMatrix
 
         monkeypatch.setattr(coxlab.core, "_CLOSURE_SEARCH_BUDGET", None)
         h4 = CoxeterMatrix(catalog_matrix("H4").entries)
@@ -285,7 +292,6 @@ class TestPairClasses:
         # B4 on Tits' method alone visits about 3 400 braid-orbit words; with
         # a budget of 1 000 the closure stops, and the outcome is memoized
         import coxlab.core
-        from coxlab.core import CoxeterMatrix
 
         monkeypatch.setattr(coxlab.core, "_CLOSURE_SEARCH_BUDGET", 1000)
         b4 = CoxeterMatrix(B4.entries)
@@ -306,12 +312,11 @@ class TestPairClasses:
 
     def test_search_budget_leaves_finishing_closures_alone(self, monkeypatch):
         # the same B4 closure on Tits' method finishes within the default
-        # budget and gives the table's closure
-        from coxlab.core import CoxeterMatrix
-
+        # budget and gives the table's closure; the two stores number the
+        # elements differently, so the closures are compared as words
         b4 = CoxeterMatrix(B4.entries)
         b4._table = False
-        assert bg.conjugate_pair_closure(b4).keys() == bg.conjugate_pair_closure(B4).keys()
+        assert closure_words(b4).keys() == closure_words(B4).keys()
 
     def test_finite_pairs_excludes_infinite_bonds(self):
         m = validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]])
@@ -321,7 +326,7 @@ class TestPairClasses:
         # affine-flavored infinite group: conjugation orbits do not close
         m = validate_matrix([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]])
         with pytest.raises(ElementCapExceeded):
-            pair_classes(m, element_cap=100)
+            pair_classes(m)
 
     def test_closure_outcome_is_memoized_on_the_matrix(self, monkeypatch):
         import coxlab.braid_graph as bg
@@ -329,9 +334,9 @@ class TestPairClasses:
         calls = []
         real = bg._conjugation_closure
 
-        def counted(matrix, element_cap):
+        def counted(matrix):
             calls.append(matrix)
-            return real(matrix, element_cap)
+            return real(matrix)
 
         monkeypatch.setattr(bg, "_conjugation_closure", counted)
         finite = catalog_matrix("B3")
@@ -389,3 +394,85 @@ class TestOpClass:
             partition = pair_classes(catalog_matrix(name))
             for cls in partition.classes:
                 assert op_class(op_class(cls.index, partition), partition) == cls.index
+
+
+INFINITE_ROWS = {
+    "inf_bond": [[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]],
+    "affine_A2": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+}
+
+
+class TestClosureOnIds:
+    """The conjugation closure on element ids against the Element reference.
+
+    The reference (oracles.reference_closure) is the closure's former
+    construction, on Element products keyed by pairs of canonical words.
+    Each side runs on its own copy of the matrix, with the Cayley table
+    decided first, and the id side is read back as words.
+    """
+
+    @staticmethod
+    def fresh(entries, table):
+        matrix = CoxeterMatrix(entries)
+        if not table:
+            matrix._table = False
+        cayley_table(matrix)
+        return matrix
+
+    @pytest.mark.parametrize(
+        "name, table",
+        [(name, True) for name in ("A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2_7", "I2_128")]
+        + [("B3", False), ("B4", False)],
+    )
+    def test_closure_matches_the_reference(self, name, table):
+        entries = catalog_matrix(name).entries
+        expected = [
+            (state, (seed, q.word, m))
+            for state, (seed, q, m) in reference_closure(self.fresh(entries, table)).items()
+        ]
+        matrix = self.fresh(entries, table)
+        closure = bg._conjugation_closure(matrix)
+        words = element_ids(matrix).words
+        got = [
+            ((words[u], words[v]), (seed, words[q], m))
+            for (u, v), (seed, q, m) in closure.items()
+        ]
+        # keys in insertion order, seeds, witnesses and m
+        assert got == expected
+        # the memo on the store keeps every pair with its m
+        assert closure_words(matrix) == {state: m for state, (_, _, m) in expected}
+        # and the exact classes keep the reference's seeds and witnesses
+        generators = {((s,), (t,)): (s, t) for s, t in finite_pairs(matrix)}
+        by_seed = {}
+        for state, (seed, q, _) in expected:
+            if state in generators:
+                by_seed.setdefault(seed, {})[generators[state]] = q
+        partition = pair_classes(matrix)
+        assert [
+            {pair: q.word for pair, q in cls.witnesses.items()} for cls in partition.classes
+        ] == [by_seed[seed] for seed in sorted(by_seed)]
+
+    @pytest.mark.parametrize("rows", list(INFINITE_ROWS.values()), ids=list(INFINITE_ROWS))
+    def test_cap_error_matches_the_reference(self, rows):
+        entries = validate_matrix(rows).entries
+        with pytest.raises(ElementCapExceeded) as expected:
+            reference_closure(self.fresh(entries, True))
+        with pytest.raises(ElementCapExceeded) as got:
+            bg.conjugate_pair_closure(self.fresh(entries, True))
+        assert (got.value.cap, str(got.value)) == (expected.value.cap, str(expected.value))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [A4, catalog_matrix("H3"), validate_matrix(INFINITE_ROWS["affine_A2"])],
+        ids=["A4", "H3", "affine_A2"],
+    )
+    def test_radius_orbits_match_the_reference(self, matrix):
+        for pair in finite_pairs(matrix):
+            for radius in range(4):
+                expected = [
+                    (state, q.word) for state, q in reference_orbit(matrix, pair, radius).items()
+                ]
+                orbit = bg._conjugation_orbit(matrix, pair, radius)
+                words = element_ids(matrix).words
+                got = [((words[u], words[v]), words[q]) for (u, v), q in orbit.items()]
+                assert got == expected, (pair, radius)

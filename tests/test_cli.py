@@ -29,6 +29,13 @@ from coxlab.serialize import (
 from coxlab.verify import worst
 
 
+# infinite groups: a rank-3 matrix with an inf bond, and the affine A~2
+MATRIX_FILES = {
+    "inf.txt": "rank 3\n1 3 inf\n3 1 3\ninf 3 1\n",
+    "affine_a2.txt": "rank 3\n1 3 3\n3 1 3\n3 3 1\n",
+}
+
+
 def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
@@ -339,11 +346,13 @@ class TestCliCommands:
             ("classes", "--type", "A3", "--matrix", "nope.txt"),
             ("verify", "--matrix", "/nonexistent/file", "--all-elements"),
             ("expr-graph", "--type", "A0", "--word", "", "--length", "2"),
+            ("verify", "--type", "A3", "--word", "1 2", "--max-length", "0"),
         ],
     )
     def test_usage_errors_exit_three(self, args):
         result = run_cli(*args)
         assert result.returncode == 3
+        assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "args, flag, name",
@@ -464,9 +473,24 @@ class TestCliCommands:
              "d080671dd3c7399ed2d8f5dbe0d33b834f6ecc15648aa4f4203c7402c202ec94"),
             (("classes", "--type", "H4"), 0,
              "af9c4c9d72935e15eda954f22532d3636216a58c9f06dc48c4ca759ceaf3acc9"),
+            (("classes", "--type", "F4"), 0,
+             "e53fe7490f766dc5cfffd9cc47d55f9758140059bbec5c047ba2fe8ebf5f34e3"),
+            (("classes", "--type", "B4", "--radius", "2"), 0,
+             "0452f141f83bdfa6ff814d956b704aac573e0c490cd385bddd8a97a1f2277473"),
+            (("classes", "--matrix", "inf.txt", "--radius", "2"), 0,
+             "426961398a991a6a03f84aebbb364c698a2b6bbbaf7ab348c7f7430ba4340d63"),
+            (("classes", "--matrix", "affine_a2.txt", "--radius", "2"), 0,
+             "7b59b37cf1eba50bd62adeb764d29ffc26856724274755193dc233b628e0ed97"),
         ],
     )
-    def test_output_bytes_are_pinned(self, args, code, digest):
+    def test_output_bytes_are_pinned(self, tmp_path, args, code, digest):
+        # a --matrix argument names one of MATRIX_FILES, written to tmp_path
+        args = list(args)
+        if "--matrix" in args:
+            i = args.index("--matrix") + 1
+            path = tmp_path / args[i]
+            path.write_text(MATRIX_FILES[args[i]])
+            args[i] = str(path)
         result = run_cli(*args)
         assert result.returncode == code
         assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest

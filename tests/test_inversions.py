@@ -18,10 +18,9 @@ from coxlab import (
     reduced_expressions,
     subword_embedding_count,
 )
-from coxlab.braid_graph import conjugate_pair_closure
 from coxlab.core import alternating_word
 
-from oracles import dihedral_oracle, signed_oracle, symmetric_oracle
+from oracles import closure_words, dihedral_oracle, signed_oracle, symmetric_oracle
 
 A2 = catalog_matrix("A2")
 A3 = catalog_matrix("A3")
@@ -211,7 +210,7 @@ class TestOccurrenceVector:
     def test_values_are_zero_one(self):
         # the vector is its support: closure keys whose two words are
         # entries of the inversion word, u first
-        closure = conjugate_pair_closure(A3)
+        closure = closure_words(A3)
         rng = random.Random(4)
         for _ in range(20):
             w = reduce_word(
