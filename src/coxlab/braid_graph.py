@@ -215,10 +215,13 @@ def pair_classes(matrix: CoxeterMatrix, radius: int | None = None) -> PairClassP
     With radius=None the orbits are closed exactly (ElementCapExceeded if
     that fails); with a radius r, two pairs merge only when some
     conjugating word of length <= r maps one to the other, and every class
-    is marked provisional.
+    is marked provisional.  The radius search runs under
+    closure_search_budget, so Tits' method past the budget raises
+    ElementCapExceeded there too.
     """
     if radius is not None:
-        return _radius_partition(matrix, radius)
+        with closure_search_budget(matrix):
+            return _radius_partition(matrix, radius)
     conjugate_pair_closure(matrix)
     ids = element_ids(matrix)
     classes = []
@@ -283,11 +286,6 @@ def _radius_partition(matrix: CoxeterMatrix, radius: int) -> PairClassPartition:
             )
         )
     return PairClassPartition(matrix=matrix, classes=tuple(out))
-
-
-def default_partition(matrix: CoxeterMatrix) -> PairClassPartition:
-    """Exact partition, grouped from the closure memoized on the matrix."""
-    return pair_classes(matrix)
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,7 +372,7 @@ def reduced_graph(
     """Graph of all reduced expressions of an element."""
     matrix = element.matrix
     if partition is None:
-        partition = default_partition(matrix)
+        partition = pair_classes(matrix)
     return _bfs_graph(matrix, element, element.word, "reduced", None, partition)
 
 
@@ -396,6 +394,6 @@ def expression_graph(
     if length > element.length and matrix.rank == 0:
         raise ValueError("cannot pad expressions in the rank-0 group")
     if partition is None:
-        partition = default_partition(matrix)
+        partition = pair_classes(matrix)
     seed = element.word + alternating_word(0, 0, length - element.length)
     return _bfs_graph(matrix, element, seed, "expressions", length, partition)

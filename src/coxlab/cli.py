@@ -91,9 +91,11 @@ def _partition(matrix: CoxeterMatrix, radius: int | None):
     try:
         return pair_classes(matrix, radius=radius)
     except ElementCapExceeded as exc:
-        raise UsageError(
-            f"{exc}; the exact closure did not finish, rerun with --radius R"
-        ) from exc
+        if radius is None:
+            hint = "the exact closure did not finish, rerun with --radius R"
+        else:
+            hint = f"the radius-{radius} partition did not finish, rerun with a smaller --radius"
+        raise UsageError(f"{exc}; {hint}") from exc
 
 
 def _count(text: str) -> int:

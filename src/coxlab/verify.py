@@ -6,10 +6,11 @@ conjugated generators of the move window.  Per cycle: for every color
 class c and its opposite (the class of the swapped pair), a directed
 cycle uses as many arcs of color c as of the opposite color, and an even
 number in total.  Both statements are additive over the cycle space, so a
-fundamental-cycle basis of the (bidirected) graph suffices; random closed
-walks guard the reduction in the test suite.  A cycle's checks depend only
-on the multiset of its arc colours (its signature), so they are computed
-and kept once per signature, not once per cycle.
+fundamental-cycle basis of the (bidirected) graph suffices.  Its spanning
+tree is the BFS tree the graph was built along, read off the arcs; random
+closed walks guard the reduction in the test suite.  A cycle's checks
+depend only on the multiset of its arc colours (its signature), so they
+are computed and kept once per signature, not once per cycle.
 
 Verdicts are three-valued: a failure that rests on a provisional class
 partition or on a capped conjugation closure is reported as inconclusive,
@@ -250,60 +251,44 @@ def verify_has_step(
 # cycle space
 
 
-def _arc_lookup(graph: BraidGraph) -> dict[tuple[int, int], int]:
-    lookup: dict[tuple[int, int], int] = {}
-    for i, arc in enumerate(graph.arcs):
-        lookup.setdefault((arc.source, arc.target), i)
-    return lookup
-
-
 def fundamental_cycles(graph: BraidGraph) -> list[list[int]]:
     """Basis of the directed cycle space, as lists of arc indices.
 
     One 2-cycle per undirected edge (the paired forward/backward arcs)
-    plus, for each non-tree edge of a BFS spanning tree, the long cycle it
+    plus, for each non-tree edge of the BFS spanning tree, the long cycle it
     closes.  Traversing an arc backwards is realized by its paired reverse
-    arc, which exists because braid moves are reversible.
+    arc, which exists because braid moves are reversible.  The vertices
+    must be numbered in BFS discovery order with the arcs listed by source,
+    as reduced_graph, expression_graph and with_arc_color keep them: then
+    the first arc u -> v with u < v is the one that discovered v, so one
+    pass over the arcs reads off the tree the graph was built along.  A
+    vertex v > 0 with no arc from an earlier vertex raises ValueError.
     """
-    lookup = _arc_lookup(graph)
-    edges: list[tuple[int, int]] = []
-    seen = set()
-    for arc in graph.arcs:
-        key = (min(arc.source, arc.target), max(arc.source, arc.target))
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
-
     n = len(graph.vertices)
-    adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    parent: dict[int, int] = {0: -1} if n else {}
-    depth = {0: 0} if n else {}
-    order = [0] if n else []
-    cursor = 0
-    while cursor < len(order):
-        u = order[cursor]
-        for v in adjacency[u]:
-            if v not in parent:
+    lookup: dict[tuple[int, int], int] = {}
+    edges: list[tuple[int, int]] = []  # forward arcs u -> v, u < v
+    parent = [-1] * n
+    for i, arc in enumerate(graph.arcs):
+        key = (arc.source, arc.target)
+        if key in lookup:
+            continue
+        lookup[key] = i
+        u, v = key
+        if u < v:
+            edges.append(key)
+            if parent[v] < 0:
                 parent[v] = u
-                depth[v] = depth[u] + 1
-                order.append(v)
-        cursor += 1
-    if len(parent) != n:
-        raise ValueError("graph is not connected")
-
-    tree_edges = {
-        (min(u, parent[u]), max(u, parent[u])) for u in parent if parent[u] >= 0
-    }
+    depth = [0] * n
+    for v in range(1, n):
+        if parent[v] < 0:
+            raise ValueError("graph is not connected")
+        depth[v] = depth[parent[v]] + 1
 
     cycles: list[list[int]] = []
     for u, v in edges:
         cycles.append([lookup[(u, v)], lookup[(v, u)]])
     for u, v in edges:
-        if (u, v) in tree_edges:
+        if parent[v] == u:
             continue
         # tree path from v back to u
         up_v, up_u = [v], [u]
@@ -487,14 +472,7 @@ def _shrink_word(word: Word, fails) -> Word:
     return current
 
 
-def property_harness(
-    matrix: CoxeterMatrix,
-    samples: int = 1000,
-    seed: int = 0,
-    max_word_length: int | None = None,
-    conjugator_length: int = 2,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> HarnessReport:
+def property_harness(matrix: CoxeterMatrix, samples: int = 1000, seed: int = 0) -> HarnessReport:
     """Seeded randomized suite for the sweep/inversion/occurrence laws.
 
     Runs, per sample: distinctness and coverage of dihedral sweeps, the
@@ -504,19 +482,19 @@ def property_harness(
     order law, and membership in two-generated subgroups: the elements
     (uv)^(g-1) u and (uv)^g u, recomputed by powering, must be the sweep
     entries g-1 and g mod m.
-    m(s, t) caps the sweeps and order law of q (s, t) q^-1; order_cap caps
-    only the subword properties, whose pairs need not be such conjugates.
-    In an infinite group a subword pair is skipped, as on the cap, once its
-    sweep leaves the inversion word: it cannot embed there, and walking it
-    to order_cap may never end (uv can have infinite order).  Failures
-    carry shrunk witnesses.  Zero failures is the expected outcome;
-    anything else indicates an implementation bug.
+    Sampled words have at most min(10, 2 rank + 2) letters, conjugators q
+    at most 2.  m(s, t) caps the sweeps and order law of q (s, t) q^-1;
+    DEFAULT_ORDER_CAP caps only the subword properties, whose pairs need
+    not be such conjugates.  In an infinite group a subword pair is
+    skipped, as on the cap, once its sweep leaves the inversion word: it
+    cannot embed there, and walking it to the cap may never end (uv can
+    have infinite order).  Failures carry shrunk witnesses.  Zero failures
+    is the expected outcome; anything else indicates an implementation bug.
     """
     rank = matrix.rank
     rng = random.Random(seed)
     report = HarnessReport(matrix_rank=rank, samples=samples, seed=seed)
-    if max_word_length is None:
-        max_word_length = min(10, 2 * rank + 2)
+    max_word_length = min(10, 2 * rank + 2)
     pairs = finite_pairs(matrix)
     infinite = group_order(matrix) is None
     gens = [generator_element(matrix, i) for i in range(rank)]
@@ -558,7 +536,7 @@ def property_harness(
         if pairs:
             s, t = pairs[rng.randrange(len(pairs))]
             m = int(matrix.m(s, t))
-            q = reduce_word(_random_word(rng, rank, conjugator_length), matrix)
+            q = reduce_word(_random_word(rng, rank, 2), matrix)
             u = Reflection(conjugate(q, gens[s]))
             v = Reflection(conjugate(q, gens[t]))
             sweep = dihedral_reflection_word(u, v, cap=m)
@@ -582,7 +560,7 @@ def property_harness(
                 if rev.entries == other.entries
                 else {"pair": [s, t], "q": list(q.word)},
             )
-            q2 = reduce_word(_random_word(rng, rank, conjugator_length), matrix)
+            q2 = reduce_word(_random_word(rng, rank, 2), matrix)
             lhs = other.conjugated_by(q2)
             rhs = sweep.conjugated_by(q2)[::-1]
             report.record(
@@ -646,7 +624,7 @@ def property_harness(
                 if infinite and _sweep_leaves(u, v, entries):
                     continue  # it cannot embed, and uv may have infinite order
                 try:
-                    sweep_uv = dihedral_reflection_word(u, v, cap=order_cap)
+                    sweep_uv = dihedral_reflection_word(u, v, cap=DEFAULT_ORDER_CAP)
                 except CapExceededError:
                     continue
                 count = subword_embedding_count(sweep_uv, inv)
@@ -655,8 +633,8 @@ def property_harness(
                     count <= 1,
                     None if count <= 1 else {"word": list(reduced), "count": count},
                 )
-                bit_uv = occurrence_bit(u, v, inv, cap=order_cap)
-                bit_vu = occurrence_bit(v, u, inv, cap=order_cap)
+                bit_uv = occurrence_bit(u, v, inv, cap=DEFAULT_ORDER_CAP)
+                bit_vu = occurrence_bit(v, u, inv, cap=DEFAULT_ORDER_CAP)
                 report.record(
                     "opposite_subwords_exclusive",
                     not (bit_uv == 1 and bit_vu == 1),

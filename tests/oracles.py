@@ -7,7 +7,10 @@ sweep of the weak order, so they stay independent of any braid-move code.
 
 The closed-walk helpers are not models: they sample directed closed walks
 of a braid graph, beyond its fundamental cycles, and judge each with the
-cycle law's own class check.
+cycle law's own class check.  reference_cycles keeps the fundamental-cycle
+basis's former construction, a second BFS over an undirected adjacency
+built from the arcs, as the reference for the basis read off the graph's
+own discovery tree.
 
 The conjugation-closure helpers at the end keep the closure's former
 construction, a breadth-first search on Element products keyed by pairs
@@ -30,7 +33,7 @@ from coxlab.core import (
     identity_element,
     multiply,
 )
-from coxlab.verify import _arc_lookup, _class_results, worst
+from coxlab.verify import _class_results, worst
 
 
 class ConcreteGroup:
@@ -251,13 +254,91 @@ def perm_cycles(perm):
     return tuple(out)
 
 
+def arc_lookup(graph):
+    """(source, target) -> index of the first arc between them."""
+    lookup = {}
+    for i, arc in enumerate(graph.arcs):
+        lookup.setdefault((arc.source, arc.target), i)
+    return lookup
+
+
+def reference_cycles(graph):
+    """The fundamental cycles by a second BFS, as lists of arc indices.
+
+    One 2-cycle per undirected edge (the paired forward/backward arcs)
+    plus, for each non-tree edge of a BFS spanning tree, the long cycle it
+    closes.  Traversing an arc backwards is realized by its paired reverse
+    arc, which exists because braid moves are reversible.
+    """
+    lookup = arc_lookup(graph)
+    edges = []
+    seen = set()
+    for arc in graph.arcs:
+        key = (min(arc.source, arc.target), max(arc.source, arc.target))
+        if key not in seen:
+            seen.add(key)
+            edges.append(key)
+
+    n = len(graph.vertices)
+    adjacency = {i: [] for i in range(n)}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+
+    parent = {0: -1} if n else {}
+    depth = {0: 0} if n else {}
+    order = [0] if n else []
+    cursor = 0
+    while cursor < len(order):
+        u = order[cursor]
+        for v in adjacency[u]:
+            if v not in parent:
+                parent[v] = u
+                depth[v] = depth[u] + 1
+                order.append(v)
+        cursor += 1
+    if len(parent) != n:
+        raise ValueError("graph is not connected")
+
+    tree_edges = {
+        (min(u, parent[u]), max(u, parent[u])) for u in parent if parent[u] >= 0
+    }
+
+    cycles = []
+    for u, v in edges:
+        cycles.append([lookup[(u, v)], lookup[(v, u)]])
+    for u, v in edges:
+        if (u, v) in tree_edges:
+            continue
+        # tree path from v back to u
+        up_v, up_u = [v], [u]
+        x, y = v, u
+        while depth[x] > depth[y]:
+            x = parent[x]
+            up_v.append(x)
+        while depth[y] > depth[x]:
+            y = parent[y]
+            up_u.append(y)
+        while x != y:
+            x = parent[x]
+            y = parent[y]
+            up_v.append(x)
+            up_u.append(y)
+        path = up_v + up_u[:-1][::-1]  # v ... lca ... u
+        cycle = [lookup[(u, v)]]
+        for a, b in zip(path, path[1:]):
+            cycle.append(lookup[(a, b)])
+        cycles.append(cycle)
+    return cycles
+
+
 def random_closed_walk(graph, rng, max_steps=64):
     """A directed closed walk, as arc indices (never empty).
 
     Tries random walking back to the start; falls back to out-and-back
     over paired arcs, which is always a closed walk.
     """
-    lookup = _arc_lookup(graph)
+    lookup = arc_lookup(graph)
     out = {i: [] for i in range(len(graph.vertices))}
     for i, arc in enumerate(graph.arcs):
         out[arc.source].append(i)

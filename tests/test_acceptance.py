@@ -30,7 +30,6 @@ from coxlab import (
     verify_has_step,
     verify_parity,
 )
-from coxlab.braid_graph import default_partition
 
 from oracles import signed_oracle, symmetric_oracle
 
@@ -57,7 +56,7 @@ def test_criterion_1_motivating_example():
     t0 = time.perf_counter()
     matrix = catalog_matrix("A4")
     element = reduce_word((1, 0, 1, 3), matrix)
-    partition = default_partition(matrix)
+    partition = pair_classes(matrix)
     graph = reduced_graph(element, partition)
 
     ok = len(graph.vertices) == 8 and len(graph.arcs) == 16
@@ -125,7 +124,7 @@ def test_criterion_3_arc_level_vector_law():
     ok = True
     for name in VERIFY_TARGETS:
         matrix = catalog_matrix(name)
-        partition = default_partition(matrix)
+        partition = pair_classes(matrix)
         for element in enumerate_elements(matrix):
             graph = reduced_graph(element, partition)
             verdict, results = verify_arc_steps(graph)
@@ -213,7 +212,7 @@ def test_criterion_7_negative_controls():
     for trial in range(50):
         name, word = color_fixtures[trial % len(color_fixtures)]
         matrix = catalog_matrix(name)
-        partition = default_partition(matrix)
+        partition = pair_classes(matrix)
         graph = reduced_graph(reduce_word(word, matrix), partition)
         n_classes = len(partition.classes)
         arc_id = rng.randrange(len(graph.arcs))

@@ -399,6 +399,17 @@ class TestCliCommands:
         assert "conjugates exceed length 24; orbit looks infinite" in result.stderr
         assert "rerun with --radius R" in result.stderr
 
+    def test_radius_partition_past_the_search_budget(self):
+        # A8 has no Cayley table; at radius 2 the witnesses' Tits searches
+        # pass the search budget, which stops the partition in seconds
+        result = run_cli("classes", "--type", "A8", "--radius", "2", timeout=60)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert (
+            "conjugation closure exceeded its search budget of 200000 braid-orbit words; "
+            "the radius-2 partition did not finish, rerun with a smaller --radius"
+        ) in result.stderr
+
     @pytest.mark.slow
     def test_closure_past_the_search_budget(self):
         # A8 has no Cayley table and its exact closure runs on Tits' method
@@ -481,6 +492,14 @@ class TestCliCommands:
              "426961398a991a6a03f84aebbb364c698a2b6bbbaf7ab348c7f7430ba4340d63"),
             (("classes", "--matrix", "affine_a2.txt", "--radius", "2"), 0,
              "7b59b37cf1eba50bd62adeb764d29ffc26856724274755193dc233b628e0ed97"),
+            # the fundamental-cycle basis: 33 958 034 and 4 032 370 bytes, and
+            # an expression graph with cycles of lengths 4, 6, 8 and 12
+            (("verify", "--type", "D4", "--all-elements"), 0,
+             "a12d104d2107aac844f68b0fe638f07c48fd2cc09bd670e422fcec71193e9509"),
+            (("verify", "--type", "H3", "--all-elements"), 0,
+             "50f5bc9702035b1b2e62af36a686fede0c2344838271be3f613d09bb3d5d2aae"),
+            (("expr-graph", "--type", "A4", "--word", "2 1 2 4", "--length", "6"), 0,
+             "3035f6043c8bb8cf67c5f4b01f98e7aec360a1adb0e904f0a84f74b9fb3ed72d"),
         ],
     )
     def test_output_bytes_are_pinned(self, tmp_path, args, code, digest):

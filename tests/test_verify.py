@@ -22,10 +22,10 @@ from coxlab import (
     verify_has_step,
     verify_parity,
 )
-from coxlab.braid_graph import PairClassPartition, default_partition, op_class
+from coxlab.braid_graph import Arc, BraidGraph, PairClassPartition, op_class
 from coxlab.core import alternating_word, identity_element
 from coxlab.verify import CycleClassCheck, _class_results, worst
-from oracles import random_closed_walk, walk_parity_verdict
+from oracles import random_closed_walk, reference_cycles, walk_parity_verdict
 
 A2 = catalog_matrix("A2")
 A3 = catalog_matrix("A3")
@@ -317,6 +317,49 @@ class TestFundamentalCycles:
             assert len(fundamental_cycles(g)) == max(expected, 0)
 
 
+class TestCyclesMatchTheReference:
+    """The basis read off the discovery tree equals the second-BFS basis."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["A3", "B3", "H3", "A4", "I2_7", "D4", pytest.param("B4", marks=pytest.mark.slow)],
+    )
+    def test_every_element(self, name):
+        matrix = catalog_matrix(name)
+        partition = pair_classes(matrix)
+        for element in enumerate_elements(matrix):
+            g = reduced_graph(element, partition)
+            assert fundamental_cycles(g) == reference_cycles(g), element
+
+    @pytest.mark.parametrize("matrix", [A3, B3], ids=["A3", "B3"])
+    def test_expression_graphs(self, matrix):
+        partition = pair_classes(matrix)
+        for element in enumerate_elements(matrix):
+            if element.length > 4:
+                continue
+            g = expression_graph(element, element.length + 2, partition)
+            assert fundamental_cycles(g) == reference_cycles(g), element
+
+    def test_recoloured_copy(self):
+        g = reduced_graph(reduce_word((1, 0, 1, 3), A4))
+        recoloured = g.with_arc_color(3, g.arcs[3].color + 1)
+        assert fundamental_cycles(recoloured) == reference_cycles(recoloured)
+        assert fundamental_cycles(recoloured) == fundamental_cycles(g)
+
+    def test_unreachable_vertex_is_rejected(self):
+        # vertex 2 has arcs only to and from vertex 3: no arc from 0 or 1
+        g = reduced_graph(reduce_word((1, 0, 2), A3))
+        arcs = g.arcs + (
+            Arc(2, 3, (0, 2), 0, 0),
+            Arc(3, 2, (2, 0), 0, 0),
+        )
+        words = g.vertices + ((0, 2, 1), (2, 0, 1))
+        broken = BraidGraph(g.matrix, g.element, g.mode, None, words, arcs)
+        for cycles_of in (fundamental_cycles, reference_cycles):
+            with pytest.raises(ValueError, match="graph is not connected"):
+                cycles_of(broken)
+
+
 class TestTelescoping:
     def test_occurrence_vector_shifts_telescope_around_cycles(self):
         """Composing the per-arc updates around any cycle returns the
@@ -340,7 +383,7 @@ class TestTelescoping:
 
 class TestVerifyParity:
     def test_eight_cycle_counts(self):
-        partition = default_partition(A4)
+        partition = pair_classes(A4)
         g = reduced_graph(reduce_word((1, 0, 1, 3), A4), partition)
         report = verify_parity(g, partition)
         assert report.verdict is Verdict.PASS
@@ -351,7 +394,7 @@ class TestVerifyParity:
         assert coarse[adjacent] == 2 and coarse[commuting] == 6
 
     def test_i2_4_longest_element(self):
-        partition = default_partition(I2_4)
+        partition = pair_classes(I2_4)
         g = reduced_graph(reduce_word((0, 1, 0, 1), I2_4), partition)
         report = verify_parity(g, partition)
         assert report.verdict is Verdict.PASS
@@ -362,7 +405,7 @@ class TestVerifyParity:
     def test_exhaustive_over_catalogs(self):
         for name in ("A3", "B3", "I2_3", "I2_4", "I2_5", "I2_6", "I2_7"):
             matrix = catalog_matrix(name)
-            partition = default_partition(matrix)
+            partition = pair_classes(matrix)
             for element in enumerate_elements(matrix):
                 g = reduced_graph(element, partition)
                 assert verify_parity(g, partition).verdict is Verdict.PASS
@@ -378,14 +421,14 @@ class TestVerifyParity:
 
     def test_exploratory_flag_on_expression_graphs(self):
         g = expression_graph(reduce_word((0,), A2), 3)
-        report = verify_parity(g, default_partition(A2))
+        report = verify_parity(g, pair_classes(A2))
         assert report.exploratory
         assert report.verdict is Verdict.PASS  # single vertex, no cycles
 
     def test_random_closed_walks_pass(self):
         rng = random.Random(17)
         for word, matrix in (((1, 0, 1, 3), A4), ((0, 1, 0, 2, 1, 0), A3)):
-            partition = default_partition(matrix)
+            partition = pair_classes(matrix)
             g = reduced_graph(reduce_word(word, matrix), partition)
             for _ in range(50):
                 walk = random_closed_walk(g, rng)
@@ -433,7 +476,7 @@ def _check_signatures_on(name, seed):
     partition; then a few expression graphs."""
     matrix = catalog_matrix(name)
     rng = random.Random(seed)
-    exact = default_partition(matrix)
+    exact = pair_classes(matrix)
     radius0 = pair_classes(matrix, radius=0)
     checked_under = ((exact, (exact, _provisional(exact))), (radius0, (radius0,)))
     seen = Counter()
@@ -484,7 +527,7 @@ class TestNegativeControls:
         trials = 0
         while trials < 50:
             matrix, word = fixtures[trials % len(fixtures)]
-            partition = default_partition(matrix)
+            partition = pair_classes(matrix)
             g = reduced_graph(reduce_word(word, matrix), partition)
             n_classes = len(partition.classes)
             arc_id = rng.randrange(len(g.arcs))
