@@ -178,15 +178,16 @@ def _conjugation_closure(matrix: CoxeterMatrix) -> dict[tuple[int, int], tuple[G
     return closure
 
 
-def conjugate_pair_closure(matrix: CoxeterMatrix) -> dict[int, dict[int, int | tuple[int, ...]]]:
+def conjugate_pair_closure(matrix: CoxeterMatrix) -> dict[int, dict[int, int]]:
     """The exact conjugation closure, as partners[u][v] on element ids.
 
     The Cayley table is decided first, then the closure, or the
     ElementCapExceeded that cut it off, is memoized on element_ids(matrix):
-    `closure` holds partners[u][v], which is m(seed pair) until the arc
-    law first needs the sweep of (u, v) and swaps in the sweep's middle
-    (inversions.occurrence_ids); `seeds` maps each seed to its generator
-    pairs with their witness ids.
+    the closure pairs are numbered once, in discovery order; `closure`
+    holds partners[u][v], the number of (u, v), and `pairs[number]` is
+    (u, v, m(seed pair)), so an occurrence vector is an int with one bit
+    per closure pair (inversions.occurrence_ids); `seeds` maps each seed to
+    its generator pairs with their witness ids.
     """
     cayley_table(matrix)
     ids = element_ids(matrix)
@@ -196,14 +197,16 @@ def conjugate_pair_closure(matrix: CoxeterMatrix) -> dict[int, dict[int, int | t
         except ElementCapExceeded as exc:
             ids.closure = exc.with_traceback(None)  # frees the partial orbit
         else:
-            partners: dict[int, dict[int, int | tuple[int, ...]]] = {}
+            partners: dict[int, dict[int, int]] = {}
+            pairs = []
             for (u, v), (_, _, m) in closure.items():
-                partners.setdefault(u, {})[v] = m
+                partners.setdefault(u, {})[v] = len(pairs)
+                pairs.append((u, v, m))
             seeds: dict[GenPair, dict[GenPair, int]] = {}
             for pair in finite_pairs(matrix):
                 seed, witness, _ = closure[_pair_ids(ids, pair)]
                 seeds.setdefault(seed, {})[pair] = witness
-            ids.closure, ids.seeds = partners, seeds
+            ids.closure, ids.pairs, ids.seeds = partners, pairs, seeds
     if isinstance(ids.closure, ElementCapExceeded):
         raise ElementCapExceeded(ids.closure.cap, str(ids.closure))
     return ids.closure
@@ -337,6 +340,7 @@ def _bfs_graph(
     index: dict[Word, int] = {seed: 0}
     vertices: list[Word] = [seed]
     arcs: list[Arc] = []
+    colors: dict[GenPair, int] = {}  # partition.class_of, once per pair
     cursor = 0
     while cursor < len(vertices):
         w = vertices[cursor]
@@ -346,15 +350,10 @@ def _bfs_graph(
                 j = len(vertices)
                 index[target] = j
                 vertices.append(target)
-            arcs.append(
-                Arc(
-                    source=cursor,
-                    target=j,
-                    pair=pair,
-                    position=position,
-                    color=partition.class_of(pair),
-                )
-            )
+            color = colors.get(pair)
+            if color is None:
+                color = colors[pair] = partition.class_of(pair)
+            arcs.append(Arc(cursor, j, pair, position, color))
         cursor += 1
     return BraidGraph(
         matrix=matrix,

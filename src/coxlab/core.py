@@ -109,11 +109,13 @@ class CoxeterMatrix:
     that never affect equality: the element store (see element_ids), which
     is the Cayley table once a whole-group operation has built it (_table,
     or False once the group is known to get none) and until then the store
-    Tits' method interns into (_ids).  Everything else memoized per matrix,
-    the conjugation closure included, lives on that store.
+    Tits' method interns into (_ids).  The braid windows (_windows, see
+    braid_windows) depend on the entries alone and stay on the matrix;
+    everything else memoized per matrix, the conjugation closure included,
+    lives on that store.
     """
 
-    __slots__ = ("entries", "_hash", "_table", "_ids", "_budget")
+    __slots__ = ("entries", "_hash", "_table", "_ids", "_windows", "_budget")
 
     def __init__(self, entries: tuple[tuple[int | float, ...], ...]):
         self.entries = entries
@@ -121,6 +123,7 @@ class CoxeterMatrix:
         # None until decided, then the complete ElementIds or False for "no table"
         self._table: ElementIds | bool | None = None
         self._ids: ElementIds | None = None
+        self._windows: dict[tuple[int, int], tuple[int, Word, Word]] | None = None
         # braid-orbit words Tits' method may still visit, None for no bound
         self._budget: int | None = None
 
@@ -185,26 +188,39 @@ def alternating_word(s: int, t: int, count: int) -> Word:
     return ((s, t) * (count // 2 + 1))[:count]
 
 
+def braid_windows(matrix: CoxeterMatrix) -> dict[tuple[int, int], tuple[int, Word, Word]]:
+    """The braid move of each pair: (s, t) -> (m, (s, t, s, ...), (t, s, t, ...)).
+
+    One entry per ordered pair of distinct generators with m(s, t) finite,
+    both windows of length m.  Built on first use and kept on the matrix.
+    """
+    windows = matrix._windows
+    if windows is None:
+        windows = matrix._windows = {}
+        for s, row in enumerate(matrix.entries):
+            for t, m in enumerate(row):
+                if s != t and m != INFINITY:
+                    m = int(m)
+                    windows[s, t] = (m, alternating_word(s, t, m), alternating_word(t, s, m))
+    return windows
+
+
 def braid_neighbors(word: Word, matrix: CoxeterMatrix) -> Iterator[tuple[int, tuple[int, int], Word]]:
     """Yield (position, (s, t), result) for every applicable braid move.
 
     A braid move rewrites a factor (s, t, s, ...) of length m(s, t) into
     (t, s, t, ...).  At most one move starts at each position, so iteration
-    order (by position) is deterministic.
+    order (by position) is deterministic.  Each position costs one lookup
+    of its two letters in braid_windows and one slice comparison.
     """
-    k = len(word)
-    entries = matrix.entries
-    for i in range(k - 1):
-        s = word[i]
-        t = word[i + 1]
-        if s == t:
-            continue
-        m = entries[s][t]
-        if m == INFINITY or i + m > k:
-            continue
-        m = int(m)
-        if all(word[i + j] == (s if j % 2 == 0 else t) for j in range(2, m)):
-            yield i, (s, t), word[:i] + alternating_word(t, s, m) + word[i + m:]
+    windows = braid_windows(matrix)
+    for i in range(len(word) - 1):
+        pair = word[i : i + 2]
+        hit = windows.get(pair)
+        if hit is not None:
+            m, window, flipped = hit
+            if word[i : i + m] == window:
+                yield i, pair, word[:i] + flipped + word[i + m :]
 
 
 def _delete_square(word: Word) -> Word | None:
@@ -525,9 +541,11 @@ class ElementIds:
 
     The memos of the conjugation closure and the arc law live here, keyed
     by ids: `closure` is the exact conjugation closure as partners[u][v],
-    or the ElementCapExceeded that cut it off, and `seeds` maps each
-    closure seed to its generator pairs with their witness ids (both from
-    braid_graph.conjugate_pair_closure); `steps` maps prefix id * rank +
+    the bit number of the closure pair (u, v), or the ElementCapExceeded
+    that cut it off; `pairs[bit]` is (u, v, m(seed pair)), the numbering
+    that occurrence vectors are int bitsets over; and `seeds` maps each
+    closure seed to its generator pairs with their witness ids (all three
+    from braid_graph.conjugate_pair_closure); `steps` maps prefix id * rank +
     letter to (the id of prefix.letter, the id of the inversion-word entry
     prefix.letter.prefix^-1); `sweeps` maps a pair of reflection ids to the
     ids of its dihedral sweep; `sweep_words` keeps the
@@ -535,7 +553,8 @@ class ElementIds:
     """
 
     __slots__ = (
-        "matrix", "words", "index", "right", "closure", "seeds", "steps", "sweeps", "sweep_words"
+        "matrix", "words", "index", "right", "closure", "pairs", "seeds", "steps", "sweeps",
+        "sweep_words",
     )
 
     def __init__(self, matrix: CoxeterMatrix, words: list[Word], right: list[Sequence[int]]):
@@ -543,7 +562,8 @@ class ElementIds:
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.right = right
-        self.closure: dict[int, dict[int, int | tuple[int, ...]]] | ElementCapExceeded | None = None
+        self.closure: dict[int, dict[int, int]] | ElementCapExceeded | None = None
+        self.pairs: list[tuple[int, int, int]] | None = None
         self.seeds: dict[tuple[int, int], dict[tuple[int, int], int]] | None = None
         self.steps: dict[int, tuple[int, int]] = {}
         self.sweeps: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -10,26 +10,36 @@ in I2(4), the sweep of the non-conjugate pair (s, tst) does occur inside
 inversion words, but its occurrence bit is not preserved in the way braid
 moves preserve the rest of the vector.
 
-The vector is 0/1-valued, so it is kept as its support.  Candidate support
-pairs are drawn from the entries of the inversion word only; this loses
-nothing because a sweep starts with u and ends with v.
+The vector is 0/1-valued, so it is kept as its support: an int bitset
+over the closure pairs, numbered once per element store
+(braid_graph.conjugate_pair_closure).  A pair (u, v) can be in the support
+only if its whole sweep lies among the word's inversion entries, since a
+sweep starts with u and ends with v and a reduced word's entries are
+distinct.  Those candidates depend on the entry set alone, so a caller
+that checks many words of one element (the arc law) collects them once
+and passes the memo along.  A sweep is walked only when both of its
+endpoints are entries of the word, so a large dihedral group walks only
+the sweeps of its few entries.  As the entries are distinct, the sweep of
+(u, v) is a subword iff its entries sit at increasing positions, and the
+sweep of (v, u), its reversal, iff they sit at decreasing ones: one look
+at the positions decides both bits.
 
 The work runs on the matrix's element ids (core.ElementIds):
 inversion_ids and occurrence_ids are what the arc law calls, and their
 entries, pairs and sweeps are ints.  Each inversion-word entry is memoized
 per (prefix id, letter), a pure function of the word's own prefix, so a
-word's vector is still computed from that word alone.  The candidate
-pairs are the keys of the conjugation closure, which is kept on the same
-ids (braid_graph.conjugate_pair_closure).  The public functions below
-(inversion_word, occurrence_vector) wrap them and return reflections and
-pairs of canonical words.  Nothing is memoized per word; the closure, the
-entry memo and the sweeps live on the matrix's element store.
+word's vector is still computed from that word alone.  The public
+functions below (inversion_word, occurrence_vector) wrap them and return
+reflections and a frozenset of pairs of canonical words.  Nothing is
+memoized per word; the closure, its numbering, the entry memo and the
+sweeps live on the matrix's element store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .braid_graph import ElementCapExceeded, conjugate_pair_closure
 from .core import (
@@ -87,44 +97,105 @@ def inversion_ids(word: Word, matrix: CoxeterMatrix) -> InversionIds:
     return InversionIds(word, tuple(entries), prefix)
 
 
-def occurrence_ids(inv: InversionIds, matrix: CoxeterMatrix) -> frozenset[tuple[int, int]]:
-    """Occurrence vector of the reduced word inv.source, as pairs of ids.
+# The candidates of one entry set, by sweep length m: (u, v, mask uv,
+# mask vu) for m = 2, (u, x, v, mask uv, mask vu) for m = 3 and (getter of
+# the sweep's positions, mask uv, mask vu) for m > 3.
+Candidates = tuple[
+    list[tuple[int, int, int, int]],
+    list[tuple[int, int, int, int, int]],
+    list[tuple[Callable, int, int]],
+]
 
-    The support: the closure pairs (u, v), u before v in inv, whose sweep is
-    a subword of inv.  A candidate's sweep has the order m of its generator
-    pair, read from the closure, so no order search or order cap is
-    involved.  inv must use ids taken after fixed_ids.  Raises ValueError
-    when the word is not reduced, and ElementCapExceeded when the
-    conjugation closure cannot be completed.
+
+def _candidates(ids: ElementIds, entries: Sequence[int]) -> Candidates:
+    """The closure pairs {u, v} of entries whose sweeps lie inside entries.
+
+    Each unordered pair appears once, with the masks of both orders.  The
+    sweep of (u, v) is walked only when u and v are entries, and the sweep
+    of (v, u) only when the pair is a candidate; it must be the sweep of
+    (u, v) reversed.
     """
-    ids = element_ids(matrix)
-    if len(ids.words[inv.end]) != len(inv.source):
-        raise ValueError("occurrence_vector requires a reduced word")
-    partners = conjugate_pair_closure(matrix)
-    entries = inv.entries
-    position = {x: i for i, x in enumerate(entries)}
-    support = []
+    partners, pairs = ids.closure, ids.pairs
+    present = set(entries)
+    two, three, more = [], [], []
     for i, u in enumerate(entries):
         mine = partners.get(u)
         if mine is None:
             continue
-        for j in range(i + 1, len(entries)):
-            v = entries[j]
-            middle = mine.get(v)
-            if middle is None:
+        for v in entries[i + 1 :]:
+            bit = mine.get(v)
+            if bit is None:
                 continue
-            if middle.__class__ is int:
-                middle = mine[v] = sweep_ids(ids, u, v, middle)[1:-1]
-            # the middle must sit between positions i and j, in sweep order
-            last = i
-            for x in middle:
-                k = position.get(x)
-                if k is None or k < last:
-                    break
-                last = k
+            m = pairs[bit][2]
+            sweep = sweep_ids(ids, u, v, m)
+            if not present.issuperset(sweep):
+                continue
+            if sweep_ids(ids, v, u, m) != sweep[::-1]:
+                raise AssertionError("the sweep of (v, u) is not the sweep of (u, v) reversed")
+            uv, vu = 1 << bit, 1 << partners[v][u]
+            if m == 2:
+                two.append((u, v, uv, vu))
+            elif m == 3:
+                three.append((*sweep, uv, vu))
             else:
-                if last < j:
-                    support.append((u, v))
+                more.append((itemgetter(*sweep), uv, vu))
+    return two, three, more
+
+
+def occurrence_ids(
+    inv: InversionIds, matrix: CoxeterMatrix, memo: dict[frozenset[int], Candidates] | None = None
+) -> int:
+    """Occurrence vector of the reduced word inv.source, as an int bitset.
+
+    Bit b is set iff the closure pair (u, v) numbered b has its sweep as a
+    subword of inv; occurrence_pairs reads the bits back.  A candidate's
+    sweep has the order m of its generator pair, read from the closure, so
+    no order search or order cap is involved.  memo, if given, keeps the
+    candidates per entry set across calls; the vector itself is read off
+    this word's own entry positions on every call.  inv must use ids taken
+    after fixed_ids.  Raises ValueError when the word is not reduced, and
+    ElementCapExceeded when the conjugation closure cannot be completed.
+    """
+    ids = element_ids(matrix)
+    if len(ids.words[inv.end]) != len(inv.source):
+        raise ValueError("occurrence_vector requires a reduced word")
+    entries = inv.entries
+    if memo is None:
+        memo = {}
+    key = frozenset(entries)
+    found = memo.get(key)
+    if found is None:
+        conjugate_pair_closure(matrix)  # or its memoized ElementCapExceeded
+        found = memo[key] = _candidates(ids, entries)
+    two, three, more = found
+    position = {x: i for i, x in enumerate(entries)}
+    vector = 0
+    for u, v, uv, vu in two:
+        vector |= uv if position[u] < position[v] else vu
+    for u, x, v, uv, vu in three:
+        i, j, k = position[u], position[x], position[v]
+        if i < j < k:
+            vector |= uv
+        elif i > j > k:
+            vector |= vu
+    for positions, uv, vu in more:
+        p = positions(position)
+        if p[0] < p[-1]:
+            if list(p) == sorted(p):
+                vector |= uv
+        elif list(p) == sorted(p, reverse=True):
+            vector |= vu
+    return vector
+
+
+def occurrence_pairs(vector: int, ids: ElementIds) -> frozenset[tuple[int, int]]:
+    """The closure pairs (u, v) whose bits are set in an occurrence vector."""
+    pairs = ids.pairs
+    support = []
+    while vector:
+        low = vector & -vector
+        support.append(pairs[low.bit_length() - 1][:2])
+        vector ^= low
     return frozenset(support)
 
 
@@ -188,19 +259,16 @@ def subword_embedding_count(
     return ways[len(pattern)]
 
 
-def _pair_words(ids: ElementIds, support: frozenset[tuple[int, int]]) -> frozenset[tuple[Word, Word]]:
-    words = ids.words
-    return frozenset((words[u], words[v]) for u, v in support)
-
-
 def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> frozenset[tuple[Word, Word]]:
     """Occurrence vector of a reduced word, as pairs of canonical words.
 
-    occurrence_ids of the word's inversion_ids, mapped back to words.
-    Raises ValueError when the word is not reduced, and ElementCapExceeded
-    when the conjugation closure cannot be completed.
+    occurrence_ids of the word's inversion_ids, its bits read back as
+    pairs of words.  Raises ValueError when the word is not reduced, and
+    ElementCapExceeded when the conjugation closure cannot be completed.
     """
     w = check_word(word, matrix)
     ids = fixed_ids(matrix)
-    return _pair_words(ids, occurrence_ids(inversion_ids(w, matrix), matrix))
+    words = ids.words
+    support = occurrence_pairs(occurrence_ids(inversion_ids(w, matrix), matrix), ids)
+    return frozenset((words[u], words[v]) for u, v in support)
 

@@ -39,10 +39,9 @@ from .core import (
     DEFAULT_ORDER_CAP,
     Element,
     ElementIds,
-    INFINITY,
     Reflection,
     Word,
-    alternating_word,
+    braid_windows,
     check_word,
     conjugate,
     dihedral_reflection_word,
@@ -64,6 +63,7 @@ from .inversions import (
     inversion_word,
     occurrence_bit,
     occurrence_ids,
+    occurrence_pairs,
     subword_embedding_count,
 )
 
@@ -142,36 +142,42 @@ def _certificate(
     """
     s, t = pair
     matrix = ids.matrix
-    rank = matrix.rank
-    if s == t or not 0 <= s < rank or not 0 <= t < rank:
-        raise NotABraidStep(f"invalid generator pair {pair}")
-    m = matrix.m(s, t)
-    if m == INFINITY:
+    hit = braid_windows(matrix).get((s, t))
+    if hit is None:
+        rank = matrix.rank
+        if s == t or not 0 <= s < rank or not 0 <= t < rank:
+            raise NotABraidStep(f"invalid generator pair {pair}")
         raise NotABraidStep(f"pair {pair} has infinite order; no braid move exists")
-    m = int(m)
+    m, window, flipped = hit
     if len(wa) != len(wb):
         raise NotABraidStep("words have different lengths")
     # a window starts at the first letter where the words differ, since
-    # its first letters s != t differ and everything before it agrees
-    position = next((p for p, (x, y) in enumerate(zip(wa, wb)) if x != y), None)
-    if (
-        position is None
-        or wa[position : position + m] != alternating_word(s, t, m)
-        or wb[position : position + m] != alternating_word(t, s, m)
-        or wa[position + m :] != wb[position + m :]
-    ):
+    # its first letters s != t differ and everything before it agrees;
+    # equal words get position len(wa), where no window fits
+    position = 0
+    for x, y in zip(wa, wb):
+        if x != y:
+            break
+        position += 1
+    end = position + m
+    if wa[position:end] != window or wb[position:end] != flipped or wa[end:] != wb[end:]:
         raise NotABraidStep(f"no ({s}, {t}) braid window between the words")
 
     prefix = wa[:position]
     back = prefix[::-1]
     q = ids.walk(0, prefix)
-    factor = inv_a.entries[position : position + m]
+    a_entries, b_entries = inv_a.entries, inv_b.entries
+    factor = a_entries[position:end]
     s_prime, t_prime = factor[0], factor[-1]
     if s_prime != ids.walk(ids.walk(q, (s,)), back) or t_prime != ids.walk(ids.walk(q, (t,)), back):
         raise AssertionError("factor endpoints disagree with conjugated generators")
     if factor != sweep_ids(ids, s_prime, t_prime, cap=m):
         raise AssertionError("certificate factor mismatch against inversion word")
-    if inv_b.entries != inv_a.entries[:position] + factor[::-1] + inv_a.entries[position + m :]:
+    if (
+        b_entries[position:end] != factor[::-1]
+        or b_entries[:position] != a_entries[:position]
+        or b_entries[end:] != a_entries[end:]
+    ):
         raise AssertionError("braid move did not reverse the inversion-word factor")
     return position, q, s_prime, t_prime, factor
 
@@ -180,6 +186,9 @@ def _certificate(
 class StepResult:
     verdict: Verdict
     details: str = ""
+
+
+_PASS = StepResult(Verdict.PASS)  # shared by every passing arc
 
 
 def _arc_law(
@@ -191,7 +200,10 @@ def _arc_law(
 
     Runs on element ids.  Each word's inversion word and occurrence vector
     are built at most once, from that word alone, never by moving along an
-    arc; the vectors are dropped when the call returns.
+    arc; the vectors are int bitsets (inversions.occurrence_ids), and they
+    and the candidate pairs collected once per entry set are dropped when
+    the call returns.  Only a failing arc reads its two vectors back as
+    pairs, to count the mismatches.
     """
     words = [check_word(w, matrix) for w in words]
     if not arcs:
@@ -199,6 +211,7 @@ def _arc_law(
     ids = fixed_ids(matrix)
     invs = [inversion_ids(w, matrix) for w in words]
     vectors = {}
+    candidates = {}  # per entry set, shared by the words of one element
 
     def arc_result(a: int, b: int, pair: GenPair) -> StepResult:
         try:
@@ -210,15 +223,18 @@ def _arc_law(
         try:
             for i in (a, b):
                 if i not in vectors:
-                    vectors[i] = occurrence_ids(invs[i], matrix)
+                    vectors[i] = occurrence_ids(invs[i], matrix, candidates)
         except CapExceededError as exc:
             return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
         va, vb = vectors[a], vectors[b]
-        st = (s_prime, t_prime)
-        ts = (t_prime, s_prime)
-        if st in va and ts not in va and vb == (va - {st}) | {ts}:
-            return StepResult(Verdict.PASS)
+        partners = ids.closure
+        st = 1 << partners[s_prime][t_prime]
+        ts = 1 << partners[t_prime][s_prime]
+        if va & st and not va & ts and vb == va ^ st ^ ts:
+            return _PASS
         # pairs where vector(b) differs from vector(a) - (s', t') + (t', s')
+        va, vb = occurrence_pairs(va, ids), occurrence_pairs(vb, ids)
+        st, ts = (s_prime, t_prime), (t_prime, s_prime)
         mismatched = sum(
             (k in vb) != (k in va) - (k == st) + (k == ts) for k in va | vb | {st, ts}
         )

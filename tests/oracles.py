@@ -16,6 +16,12 @@ The conjugation-closure helpers at the end keep the closure's former
 construction, a breadth-first search on Element products keyed by pairs
 of canonical words, as the reference for the closure on element ids; and
 closure_words reads that closure back as words.
+
+reference_occurrence_ids and reference_braid_neighbors keep the former
+implementations of the occurrence vector (a frozenset of id pairs, from a
+partner lookup per pair of inversion-word entries) and of the braid moves
+of a word (letters compared one by one against m(s, t)), as the
+references for the bitset vector and the braid-window table.
 """
 
 from collections import Counter
@@ -24,7 +30,9 @@ from functools import lru_cache
 from coxlab.braid_graph import conjugate_pair_closure, finite_pairs, op_class
 from coxlab.core import (
     DEFAULT_ELEMENT_CAP,
+    INFINITY,
     ElementCapExceeded,
+    alternating_word,
     closure_search_budget,
     conjugate,
     element_ids,
@@ -32,6 +40,7 @@ from coxlab.core import (
     group_order,
     identity_element,
     multiply,
+    sweep_ids,
 )
 from coxlab.verify import _class_results, worst
 
@@ -432,15 +441,69 @@ def reference_closure(matrix):
 
 
 def closure_words(matrix):
-    """The memoized exact closure, partners[u][v], as {(word u, word v): m}.
+    """The memoized exact closure as {(word u, word v): m}.
 
-    An entry the arc law has already swapped for its sweep's middle still
-    reads as m, the middle's length plus two.
+    partners[u][v] is the bit of (u, v), and pairs[bit] is (u, v, m).
     """
     partners = conjugate_pair_closure(matrix)
-    words = element_ids(matrix).words
+    ids = element_ids(matrix)
+    words = ids.words
     return {
-        (words[u], words[v]): entry if isinstance(entry, int) else len(entry) + 2
+        (words[u], words[v]): ids.pairs[bit][2]
         for u, mine in partners.items()
-        for v, entry in mine.items()
+        for v, bit in mine.items()
     }
+
+
+def reference_occurrence_ids(inv, matrix):
+    """The occurrence vector of inv.source as a frozenset of id pairs.
+
+    The support: the closure pairs (u, v), u before v in inv, whose sweep
+    is a subword of inv, found by looking up every later entry among u's
+    closure partners.  inv must use ids taken after inversions.fixed_ids.
+    """
+    ids = element_ids(matrix)
+    if len(ids.words[inv.end]) != len(inv.source):
+        raise ValueError("occurrence_vector requires a reduced word")
+    partners = conjugate_pair_closure(matrix)
+    entries = inv.entries
+    position = {x: i for i, x in enumerate(entries)}
+    support = []
+    for i, u in enumerate(entries):
+        mine = partners.get(u)
+        if mine is None:
+            continue
+        for j in range(i + 1, len(entries)):
+            v = entries[j]
+            bit = mine.get(v)
+            if bit is None:
+                continue
+            middle = sweep_ids(ids, u, v, ids.pairs[bit][2])[1:-1]
+            # the middle must sit between positions i and j, in sweep order
+            last = i
+            for x in middle:
+                k = position.get(x)
+                if k is None or k < last:
+                    break
+                last = k
+            else:
+                if last < j:
+                    support.append((u, v))
+    return frozenset(support)
+
+
+def reference_braid_neighbors(word, matrix):
+    """Yield (position, (s, t), result) for every braid move of a word."""
+    k = len(word)
+    entries = matrix.entries
+    for i in range(k - 1):
+        s = word[i]
+        t = word[i + 1]
+        if s == t:
+            continue
+        m = entries[s][t]
+        if m == INFINITY or i + m > k:
+            continue
+        m = int(m)
+        if all(word[i + j] == (s if j % 2 == 0 else t) for j in range(2, m)):
+            yield i, (s, t), word[:i] + alternating_word(t, s, m) + word[i + m:]

@@ -26,9 +26,15 @@ from coxlab import (
     verify_arc_steps,
 )
 from coxlab.core import CoxeterMatrix, Element, element_ids
-from coxlab.inversions import fixed_ids, inversion_ids, occurrence_ids
+from coxlab.inversions import (
+    fixed_ids,
+    inversion_ids,
+    occurrence_ids,
+    occurrence_pairs,
+    occurrence_vector,
+)
 
-from oracles import closure_words
+from oracles import closure_words, reference_occurrence_ids
 
 
 def rebuilt_inversion_word(word, matrix):
@@ -94,7 +100,7 @@ def check_group(matrix):
             inv = inversion_ids(word, matrix)
             assert [ids.words[x] for x in inv.entries] == rebuilt, word
             support = oracle.support(rebuilt)
-            got = occurrence_ids(inv, matrix)
+            got = occurrence_pairs(occurrence_ids(inv, matrix), ids)
             assert {(ids.words[u], ids.words[v]) for u, v in got} == support, word
             supports.append(support)
         _, results = verify_arc_steps(graph)
@@ -157,9 +163,48 @@ def test_classes_and_enumeration_make_no_ids():
     enumerate_elements(matrix)
     assert matrix._ids is None
     # the table is the matrix's element store; it keeps the closure that
-    # `classes` built, and no sweep has been walked: every partner entry is
-    # still m, and the arc-law memos stay empty
+    # `classes` built, its pairs numbered 0, 1, ... in closure order, and no
+    # sweep has been walked: the arc-law memos stay empty
     table = element_ids(matrix)
     assert table is matrix._table
-    assert all(m.__class__ is int for mine in table.closure.values() for m in mine.values())
+    bits = [bit for mine in table.closure.values() for bit in mine.values()]
+    assert sorted(bits) == list(range(len(table.pairs)))
+    assert all(table.closure[u][v] == bit for bit, (u, v, _) in enumerate(table.pairs))
     assert not table.steps and not table.sweeps and not table.sweep_words
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A3", "B3", "H3", "A4", "I2_7", "D4", pytest.param("B4", marks=pytest.mark.slow)],
+)
+def test_bitset_vectors_match_the_reference(name):
+    # the decoded bitset equals the former frozenset vector on every
+    # vertex, with the candidates memoized per graph as the arc law does
+    matrix = catalog_matrix(name)
+    ids = fixed_ids(matrix)
+    partition = pair_classes(matrix)
+    for element in enumerate_elements(matrix):
+        memo = {}
+        for word in reduced_graph(element, partition).vertices:
+            inv = inversion_ids(word, matrix)
+            got = occurrence_pairs(occurrence_ids(inv, matrix, memo), ids)
+            assert got == reference_occurrence_ids(inv, matrix), word
+
+
+def test_bitset_vector_past_the_order_cap():
+    # I2(65): one sweep of 65 entries, more than the default order cap
+    matrix = catalog_matrix("I2_65")
+    word = tuple(i % 2 for i in range(65))
+    ids = fixed_ids(matrix)
+    inv = inversion_ids(word, matrix)
+    got = occurrence_pairs(occurrence_ids(inv, matrix), ids)
+    assert got == reference_occurrence_ids(inv, matrix)
+    assert got == {(inv.entries[0], inv.entries[-1])}
+
+
+def test_sweeps_stay_lazy():
+    # a sweep is walked only when both of its ends are entries of the word:
+    # at most l(l - 1) of them for l = 5, not one per closure pair (400)
+    matrix = catalog_matrix("I2_200")
+    occurrence_vector((0, 1, 0, 1, 0), matrix)
+    assert len(element_ids(matrix).sweeps) <= 20

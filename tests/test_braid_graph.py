@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,10 +23,11 @@ from coxlab import (
     validate_matrix,
 )
 
-from coxlab.core import CoxeterMatrix, cayley_table, element_ids
+from coxlab.core import CoxeterMatrix, braid_neighbors, cayley_table, element_ids
 from oracles import (
     closure_words,
     dihedral_oracle,
+    reference_braid_neighbors,
     reference_closure,
     reference_orbit,
     signed_oracle,
@@ -65,6 +67,46 @@ class TestBraidMoves:
             for _, _, target in braid_moves(w, B3):
                 assert len(target) == len(w)
                 assert reduce_word(target, B3).word == w or reduce_word(target, B3) == reduce_word(w, B3)
+
+
+class TestBraidNeighborsMatchTheReference:
+    """The braid-window table yields the letter-by-letter scan's moves, in order."""
+
+    @staticmethod
+    def check(words, matrix):
+        for word in words:
+            assert list(braid_neighbors(word, matrix)) == list(
+                reference_braid_neighbors(word, matrix)
+            ), word
+
+    @pytest.mark.parametrize(
+        "name",
+        ["A3", "B3", "H3", "A4", "I2_7", "D4", pytest.param("B4", marks=pytest.mark.slow)],
+    )
+    def test_every_vertex(self, name):
+        matrix = catalog_matrix(name)
+        partition = pair_classes(matrix)
+        for element in enumerate_elements(matrix):
+            self.check(reduced_graph(element, partition).vertices, matrix)
+
+    @pytest.mark.parametrize("matrix", [A3, B3], ids=["A3", "B3"])
+    def test_expression_graph_words(self, matrix):
+        # padded words repeat letters, so some windows start on s == t
+        partition = pair_classes(matrix)
+        for element in enumerate_elements(matrix):
+            if element.length <= 4:
+                graph = expression_graph(element, element.length + 2, partition)
+                self.check(graph.vertices, matrix)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]], [[1, 3, 3], [3, 1, 3], [3, 3, 1]]],
+        ids=["inf", "affine_a2"],
+    )
+    def test_every_short_word_of_an_infinite_group(self, rows):
+        matrix = validate_matrix(rows)
+        words = [w for n in range(7) for w in itertools.product(range(3), repeat=n)]
+        self.check(words, matrix)
 
 
 class TestReducedGraph:

@@ -29,6 +29,9 @@ from coxlab.serialize import (
 from coxlab.verify import worst
 
 
+# the longest element of I2(65), 1 2 1 2 ... 1
+I2_65_WORD = " ".join("1" if i % 2 == 0 else "2" for i in range(65))
+
 # infinite groups: a rank-3 matrix with an inf bond, and the affine A~2
 MATRIX_FILES = {
     "inf.txt": "rank 3\n1 3 inf\n3 1 3\ninf 3 1\n",
@@ -173,8 +176,8 @@ def _writer_case(case, monkeypatch):
 
         monkeypatch.setattr(coxlab.cli, "reduced_graph", recoloured)
     elif case == "wrong_vectors":
-        def wrong_vector(inv, matrix):
-            return occurrence_ids(inversion_ids(inv.source[::-1], matrix), matrix)
+        def wrong_vector(inv, matrix, *rest):
+            return occurrence_ids(inversion_ids(inv.source[::-1], matrix), matrix, *rest)
 
         monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
     source = word if case == "word" else None
@@ -500,6 +503,16 @@ class TestCliCommands:
              "50f5bc9702035b1b2e62af36a686fede0c2344838271be3f613d09bb3d5d2aae"),
             (("expr-graph", "--type", "A4", "--word", "2 1 2 4", "--length", "6"), 0,
              "3035f6043c8bb8cf67c5f4b01f98e7aec360a1adb0e904f0a84f74b9fb3ed72d"),
+            # a bond above the order cap (2 674 bytes), F4's bond 4, and arc
+            # positions, pairs and colours
+            (("verify", "--type", "I2_65", "--word", I2_65_WORD), 0,
+             "51711d2b3569693729695253cfa93deeafa1db6f3abd754897f51b6706955cab"),
+            (("verify", "--type", "F4", "--word", "1 2 3 2 1 4 3 2"), 0,
+             "dd87c6ab67eff6619cb22d09ee55177a1bb363a6ae8bc85cf4d55c2fa3f296f8"),
+            (("graph", "--type", "B3", "--word", "1 2 1 2 3 2"), 0,
+             "3ead7b4f4e4c685184bf7153dd8878cec4a0e1a28ce88a1d7e3b7c1bd966bcc5"),
+            (("invs", "--type", "I2_65", "--word", I2_65_WORD), 0,
+             "0bbcf9245013639e6183968573615d1908f8c1aed4db877eaff15c9830e753f0"),
         ],
     )
     def test_output_bytes_are_pinned(self, tmp_path, args, code, digest):
@@ -516,12 +529,11 @@ class TestCliCommands:
 
     def test_bond_above_the_order_cap(self):
         # I2(65): the sweep has 65 entries, more than the default order cap
-        word = " ".join("1" if i % 2 == 0 else "2" for i in range(65))
-        result = run_cli("verify", "--type", "I2_65", "--word", word)
+        result = run_cli("verify", "--type", "I2_65", "--word", I2_65_WORD)
         assert result.returncode == 0
         element = json.loads(result.stdout)["elements"][0]
         assert element["arc_checks"] == {"checked": 2, "failures": []}
-        invs = run_cli("invs", "--type", "I2_65", "--word", word)
+        invs = run_cli("invs", "--type", "I2_65", "--word", I2_65_WORD)
         assert invs.returncode == 0
         assert json.loads(invs.stdout)["support"] is not None
 

@@ -32,6 +32,7 @@ A3 = catalog_matrix("A3")
 A4 = catalog_matrix("A4")
 B3 = catalog_matrix("B3")
 I2_4 = catalog_matrix("I2_4")
+INF2 = validate_matrix([[1, float("inf")], [float("inf"), 1]])
 
 
 class TestFindBraidFactor:
@@ -68,6 +69,33 @@ class TestFindBraidFactor:
         m = validate_matrix([[1, float("inf")], [float("inf"), 1]])
         with pytest.raises(NotABraidStep):
             find_braid_factor((0, 1), (1, 0), (0, 1), m)
+
+    # the exact messages, in the order the checks run: the pair first
+    # (invalid, then infinite), then the lengths, then the window
+    @pytest.mark.parametrize(
+        "a, b, pair, matrix, message",
+        [
+            ((0, 1, 0), (1, 0, 1), (0, 0), A2, "invalid generator pair (0, 0)"),
+            ((0, 1, 0), (1, 0, 1), (0, 5), A2, "invalid generator pair (0, 5)"),
+            ((0, 1, 0), (1, 0, 1), (-1, 0), A2, "invalid generator pair (-1, 0)"),
+            ((0, 1), (1,), (1, 1), A2, "invalid generator pair (1, 1)"),
+            ((0, 1), (1, 0), (0, 1), INF2,
+             "pair (0, 1) has infinite order; no braid move exists"),
+            ((0, 1), (1,), (1, 0), INF2,
+             "pair (1, 0) has infinite order; no braid move exists"),
+            ((0, 1, 0), (1, 0), (0, 1), A2, "words have different lengths"),
+            ((0, 1, 0), (0, 1, 0), (0, 1), A2, "no (0, 1) braid window between the words"),
+            ((0, 1, 0), (1, 0, 1), (1, 0), A2, "no (1, 0) braid window between the words"),
+            ((0, 1, 0), (1, 1, 1), (0, 1), A2, "no (0, 1) braid window between the words"),
+            ((0, 1, 0, 2), (1, 0, 1, 0), (0, 1), A3,
+             "no (0, 1) braid window between the words"),
+            ((2, 0, 1), (2, 1, 0), (0, 1), A3, "no (0, 1) braid window between the words"),
+        ],
+    )
+    def test_rejection_messages(self, a, b, pair, matrix, message):
+        with pytest.raises(NotABraidStep) as info:
+            find_braid_factor(a, b, pair, matrix)
+        assert str(info.value) == message
 
     def test_factor_matches_inversion_window(self):
         rng = random.Random(3)
@@ -192,9 +220,9 @@ class TestVerifyHasStep:
             built.append(tuple(word))
             return inversion_ids(word, matrix)
 
-        def counted_vector(inv, matrix):
+        def counted_vector(inv, matrix, *rest):
             vectors.append(inv.source)
-            return occurrence_ids(inv, matrix)
+            return occurrence_ids(inv, matrix, *rest)
 
         monkeypatch.setattr(coxlab.verify, "inversion_ids", counted_inversion_ids)
         monkeypatch.setattr(coxlab.verify, "occurrence_ids", counted_vector)
@@ -223,8 +251,8 @@ class TestVerifyHasStep:
 
         other = vector_of(a, b)
 
-        def wrong_vector(inv, matrix):
-            return occurrence_ids(inversion_ids(other[inv.source], matrix), matrix)
+        def wrong_vector(inv, matrix, *rest):
+            return occurrence_ids(inversion_ids(other[inv.source], matrix), matrix, *rest)
 
         monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
         result = verify_has_step(a, b, (0, 1), matrix)
@@ -240,8 +268,8 @@ class TestVerifyHasStep:
         n = len(graph.vertices)
         shifted = {w: graph.vertices[(i + 1) % n] for i, w in enumerate(graph.vertices)}
 
-        def wrong_vector(inv, matrix):
-            return occurrence_ids(inversion_ids(shifted[inv.source], matrix), matrix)
+        def wrong_vector(inv, matrix, *rest):
+            return occurrence_ids(inversion_ids(shifted[inv.source], matrix), matrix, *rest)
 
         monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
         verdict, results = verify_arc_steps(graph)
