@@ -37,16 +37,15 @@ from .core import (
     identity_element,
     inverse,
     multiply,
-    order_of_product,
     reduce_word,
     reduced_expressions,
     validate_matrix,
 )
-from .inversions import (
-    InversionWord,
-    inversion_word,
+from .inversions import InversionWord, inversion_word, occurrence_vector
+from .props import (
     occurrence_bit,
-    occurrence_vector,
+    order_of_product,
+    property_harness,
     subword_embedding_count,
 )
 from .verify import (
@@ -57,7 +56,6 @@ from .verify import (
     Verdict,
     find_braid_factor,
     fundamental_cycles,
-    property_harness,
     verify_arc_steps,
     verify_has_step,
     verify_parity,

@@ -8,6 +8,8 @@ errors.  Output is deterministic JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
+import struct
 import sys
 import traceback
 from contextlib import ExitStack
@@ -21,9 +23,11 @@ from .braid_graph import (
 from .catalog import catalog_matrix
 from .core import CapExceededError, CoxeterMatrix, enumerate_elements, reduce_word
 from .inversions import inversion_word, occurrence_vector
+from .props import property_harness
 from .serialize import (
     MatrixFileError,
     dump_json,
+    element_chunks,
     element_to_json,
     graph_to_dot,
     graph_to_json,
@@ -38,7 +42,6 @@ from .serialize import (
 )
 from .verify import (
     Verdict,
-    property_harness,
     verify_arc_steps,
     verify_parity,
     worst,
@@ -53,6 +56,10 @@ EXIT_INTERNAL = 4
 
 class UsageError(Exception):
     pass
+
+
+class WorkerError(Exception):
+    """A verify worker failed; the message is what stderr shows."""
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -249,6 +256,140 @@ class _BlockWriter:
             self._write(block)
 
 
+# A verify worker sends framed messages: a kind byte, the payload's length,
+# the payload.  Per element: b"V" and the verdict, b"C" and each chunk of
+# its text, b"E" at its end; b"X" and a traceback when the worker fails.
+_FRAME = struct.Struct("<cQ")
+# Each worker's pipe holds this much: with the default 64 KiB the parent
+# and the workers take turns on every 64 KiB, and nothing overlaps.
+_PIPE_SIZE = 1 << 20
+
+
+def _verify_outcomes(partition, elements, workers: int):
+    """``(verdict, chunks)`` per element, in element order.
+
+    With more than one worker and element, and ``os.fork``, worker k of
+    n = min(workers, elements) verifies elements k, k + n, ... in its own
+    process and streams them back; otherwise they are verified here.
+    Either way the chunks are those of ``element_chunks``.
+    """
+    workers = min(workers, len(elements))
+    if workers > 1 and hasattr(os, "fork"):
+        yield from _forked_outcomes(partition, elements, workers)
+        return
+    for element, source in elements:
+        verdict, head, report = _verify_one(partition, element, source)
+        chunks = element_chunks(head, report)
+        del head, report  # so the next element is computed without this one
+        yield verdict, chunks
+
+
+def _worker(partition, elements, pipe: int, inherited: list[int]):
+    """Verify ``elements`` and send them as frames on ``pipe``; never returns.
+
+    It first closes the ``inherited`` read ends, so that each pipe reaches
+    EOF when its own worker ends and a write fails once the parent is gone,
+    and points stdout at /dev/null: the parent's stdout is not its to write.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        with open(pipe, "wb", buffering=_PIPE_SIZE) as out:
+            def send(kind: bytes, payload: bytes = b"") -> None:
+                out.write(_FRAME.pack(kind, len(payload)))
+                out.write(payload)
+
+            try:
+                for verdict, chunks in _verify_outcomes(partition, elements, 1):
+                    send(b"V", verdict.value.encode())
+                    for chunk in chunks:
+                        send(b"C", chunk.encode())
+                    send(b"E")
+                    out.flush()
+            except Exception:  # the parent reports it at this element's turn
+                send(b"X", traceback.format_exc().rstrip("\n").encode())
+            else:
+                status = 0
+    finally:
+        os._exit(status)  # no atexit handler, finalizer or stdio flush here
+
+
+def _forked_outcomes(partition, elements, workers: int):
+    """``_verify_outcomes`` from ``workers`` forked processes.
+
+    The pipes are read in element order.  A worker's exception is raised
+    here as a ``WorkerError`` at that element's turn, as is a worker that
+    ended without finishing its element; after any error or interrupt the
+    workers left are killed.  Every worker is reaped.
+    """
+    import fcntl  # POSIX, as os.fork is
+    import signal
+
+    pids: list[int | None] = []
+    readers = []
+    finished = False
+
+    def frame(k: int, index: int) -> tuple[bytes, bytes]:
+        header = readers[k].read(_FRAME.size)
+        if len(header) == _FRAME.size:
+            kind, size = _FRAME.unpack(header)
+            payload = readers[k].read(size)
+            if len(payload) == size:
+                if kind == b"X":
+                    raise WorkerError(payload.decode())
+                return kind, payload
+        pid, pids[k] = pids[k], None
+        _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerError(
+            f"verify worker {k} (pid {pid}) ended before element {index} was complete: {how}"
+        )
+
+    def chunks(k: int, index: int):
+        while True:
+            kind, payload = frame(k, index)
+            if kind == b"E":
+                return
+            yield payload.decode()
+
+    try:
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            try:
+                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+            except (AttributeError, OSError):
+                pass  # the default size works, only with less overlap
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(
+                        partition, elements[k::workers], write_end,
+                        [reader.fileno() for reader in readers],
+                    )
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        for index in range(len(elements)):
+            k = index % workers
+            _, verdict = frame(k, index)
+            yield Verdict(verdict.decode()), chunks(k, index)
+        finished = True
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if pid is not None:
+                if not finished:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def cmd_verify(args) -> int:
     matrix = _load_matrix(args)
     if bool(args.word is not None) == bool(args.all_elements):
@@ -267,12 +408,14 @@ def cmd_verify(args) -> int:
                 f"{exc}; pass --max-length L to bound the enumeration"
             ) from exc
         elements = [(e, None) for e in listed]
-    # one element's graph and report are alive at a time
-    outcomes = (_verify_one(partition, e, w) for e, w in elements)
+    # one worker per CPU this process may run on, so `taskset` bounds them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    outcomes = _verify_outcomes(partition, elements, cpus)
     out = _BlockWriter(sys.stdout.write, _VERIFY_BLOCK)
     try:
         verdict = write_verify_json(out.write, matrix, outcomes)
     finally:
+        outcomes.close()  # after an error, stops and reaps the workers
         out.flush()  # after an error, what was written before it
     return _verdict_exit(verdict)
 
@@ -356,6 +499,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except WorkerError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

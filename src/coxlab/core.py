@@ -715,21 +715,6 @@ def conjugate(q: Element, x: Element) -> Element:
     return multiply(multiply(q, x), inverse(q))
 
 
-def order_of_product(u: Element, v: Element, cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Least m >= 1 with (uv)^m = identity; CapExceededError past the cap."""
-    if u == v:
-        raise ValueError("order_of_product requires distinct elements")
-    product = multiply(u, v)
-    power = product
-    m = 1
-    while not power.is_identity():
-        m += 1
-        if m > cap:
-            raise CapExceededError(cap)
-        power = multiply(power, product)
-    return m
-
-
 @dataclass(frozen=True, slots=True)
 class Reflection:
     """A conjugate of a generator.
@@ -802,25 +787,6 @@ def dihedral_reflection_word(
         reflections = tuple(Reflection(ids.element(x)) for x in entries)
         sweep = ids.sweep_words[key] = DihedralReflectionWord(pair=(u, v), entries=reflections)
     return sweep
-
-
-def dihedral_subgroup(u: Element, v: Element, cap: int = 4096) -> frozenset[Element]:
-    """Enumerate <u, v> by closure under left multiplication."""
-    gens = (u, v)
-    seen = {identity_element(u.matrix)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = multiply(g, x)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(cap, "subgroup enumeration exceeded cap")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
 
 
 def enumerate_elements(

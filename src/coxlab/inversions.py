@@ -44,13 +44,10 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .braid_graph import ElementCapExceeded, conjugate_pair_closure
 from .core import (
     CoxeterMatrix,
-    DEFAULT_ORDER_CAP,
-    DihedralReflectionWord,
     ElementIds,
     Reflection,
     Word,
     check_word,
-    dihedral_reflection_word,
     element_ids,
     sweep_ids,
 )
@@ -219,46 +216,6 @@ def inversion_word(word: Sequence[int], matrix: CoxeterMatrix) -> InversionWord:
     return InversionWord(source=w, entries=tuple(Reflection(ids.element(x)) for x in entries))
 
 
-def occurrence_bit(
-    u: Reflection,
-    v: Reflection,
-    inv_word: InversionWord,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> int:
-    """1 iff the dihedral sweep of (u, v) is a subword of the inversion word.
-
-    (u, v) need not be a conjugate of a generator pair.  Raises ValueError
-    when u == v and CapExceededError when the order of uv exceeds cap.
-    """
-    sweep = dihedral_reflection_word(u, v, cap=cap)
-    return 1 if _is_subword(sweep, inv_word.entries) else 0
-
-
-def _is_subword(sweep: DihedralReflectionWord, entries: tuple[Reflection, ...]) -> bool:
-    want = iter(sweep.entries)
-    target = next(want)
-    for entry in entries:
-        if entry == target:
-            target = next(want, None)
-            if target is None:
-                return True
-    return False
-
-
-def subword_embedding_count(
-    sweep: DihedralReflectionWord, inv_word: InversionWord
-) -> int:
-    """Number of ways the sweep embeds as a subword (dynamic program)."""
-    pattern = sweep.entries
-    ways = [0] * (len(pattern) + 1)
-    ways[0] = 1
-    for entry in inv_word.entries:
-        for j in range(len(pattern) - 1, -1, -1):
-            if pattern[j] == entry:
-                ways[j + 1] += ways[j]
-    return ways[len(pattern)]
-
-
 def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> frozenset[tuple[Word, Word]]:
     """Occurrence vector of a reduced word, as pairs of canonical words.
 
@@ -271,4 +228,3 @@ def occurrence_vector(word: Sequence[int], matrix: CoxeterMatrix) -> frozenset[t
     words = ids.words
     support = occurrence_pairs(occurrence_ids(inversion_ids(w, matrix), matrix), ids)
     return frozenset((words[u], words[v]) for u, v in support)
-

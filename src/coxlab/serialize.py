@@ -263,7 +263,7 @@ def _cycle_text(index: int, arcs: tuple[int, ...], signature_text: str) -> str:
     )
 
 
-def _element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
+def element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
     """One entry of a verify document's ``elements`` list, in chunks.
 
     ``head`` holds the entry's keys before ``"report"``; the report is
@@ -297,12 +297,12 @@ def _element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
 def write_verify_json(
     write: Callable[[str], object],
     matrix: CoxeterMatrix,
-    outcomes: Iterable[tuple[Verdict, dict, CycleParityReport]],
+    outcomes: Iterable[tuple[Verdict, Iterable[str]]],
 ) -> Verdict:
     """Write the verify document, one element at a time; return its verdict.
 
-    ``outcomes`` yields ``(verdict, head, report)`` per element, where
-    ``head`` holds the element's keys before ``"report"``.  The text is
+    ``outcomes`` yields ``(verdict, chunks)`` per element, where ``chunks``
+    is the element's entry as ``element_chunks`` gives it.  The text is
     ``dump_json`` of ``{"matrix", "elements", "verdict"}`` with each report
     as ``parity_report_to_json`` gives it, byte for byte.  Nothing is
     written until the first element's text is complete, so an error before
@@ -311,10 +311,8 @@ def write_verify_json(
     header = '{\n  "matrix": ' + _nested(matrix_to_json(matrix), 1) + ',\n  "elements": ['
     closing = "]"
     verdict = Verdict.PASS
-    for element_verdict, head, report in outcomes:
+    for element_verdict, chunks in outcomes:
         verdict = worst((verdict, element_verdict))
-        chunks = _element_chunks(head, report)
-        del head, report  # so the next element is computed without this one
         if header:
             chunks = [header, "\n", *chunks]
             header, closing = "", "\n  ]"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from coxlab import (
 from coxlab.serialize import (
     MatrixFileError,
     dump_json,
+    element_chunks,
     graph_to_dot,
     matrix_to_json,
     matrix_to_text,
@@ -118,7 +120,8 @@ def _reference_document(matrix, outcomes):
 
 def _streamed_document(matrix, outcomes):
     chunks = []
-    verdict = write_verify_json(chunks.append, matrix, iter(outcomes))
+    pieces = ((v, element_chunks(head, r)) for v, head, r in outcomes)
+    verdict = write_verify_json(chunks.append, matrix, pieces)
     return "".join(chunks), verdict, chunks
 
 
@@ -127,11 +130,17 @@ def _all_elements(name):
     return matrix, pair_classes(matrix), enumerate_elements(matrix)
 
 
+def _wrong_vector(inv, matrix, *rest):
+    """occurrence_ids of the reversed word: the wrong_vectors negative control."""
+    from coxlab.inversions import inversion_ids, occurrence_ids
+
+    return occurrence_ids(inversion_ids(inv.source[::-1], matrix), matrix, *rest)
+
+
 def _writer_case(case, monkeypatch):
     """(matrix, outcomes) for one case of the writer-against-reference test."""
     import coxlab.cli
     import coxlab.verify
-    from coxlab.inversions import inversion_ids, occurrence_ids
 
     if case in ("A3", "B3", "H3", "I2_7"):
         matrix, partition, elements = _all_elements(case)
@@ -176,10 +185,7 @@ def _writer_case(case, monkeypatch):
 
         monkeypatch.setattr(coxlab.cli, "reduced_graph", recoloured)
     elif case == "wrong_vectors":
-        def wrong_vector(inv, matrix, *rest):
-            return occurrence_ids(inversion_ids(inv.source[::-1], matrix), matrix, *rest)
-
-        monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
+        monkeypatch.setattr(coxlab.verify, "occurrence_ids", _wrong_vector)
     source = word if case == "word" else None
     return matrix, [coxlab.cli._verify_one(partition, element, source)]
 
@@ -236,6 +242,123 @@ class TestVerifyWriter:
         assert text == _reference_document(matrix, outcomes)
         cycle_chunks = [c for c in chunks if c.lstrip(",\n").startswith("          {")]
         assert len(cycle_chunks) == 2
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Make ``verify`` see ``cpus`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _main(monkeypatch, capsys, args, cpus):
+    """(exit code, stdout, stderr) of the CLI run in this process on ``cpus`` CPUs."""
+    import coxlab.cli
+
+    _set_cpus(monkeypatch, cpus)
+    code = coxlab.cli.main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestVerifyWorkers:
+    @pytest.mark.parametrize(
+        "name, max_length",
+        [("A3", None), ("B3", None), ("H3", None), ("I2_7", None), ("D4", None), ("B4", 8)],
+    )
+    def test_worker_counts_give_the_same_document(self, name, max_length):
+        from coxlab.cli import _verify_outcomes
+
+        matrix = catalog_matrix(name)
+        partition = pair_classes(matrix)
+        elements = [(e, None) for e in enumerate_elements(matrix, max_length=max_length)]
+        runs = []
+        for workers in (1, 2, 3):
+            digest, verdicts = hashlib.sha256(), []
+
+            def recorded():
+                for verdict, chunks in _verify_outcomes(partition, elements, workers):
+                    verdicts.append(verdict)
+                    yield verdict, chunks
+
+            verdict = write_verify_json(
+                lambda text: digest.update(text.encode()), matrix, recorded()
+            )
+            runs.append((digest.hexdigest(), verdict, verdicts))
+        assert len(runs[0][2]) == len(elements)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_a_failing_document_through_workers(self, monkeypatch, capsys):
+        # the wrong_vectors negative control over every element of A3
+        import coxlab.verify
+
+        monkeypatch.setattr(coxlab.verify, "occurrence_ids", _wrong_vector)
+        args = ["verify", "--type", "A3", "--all-elements"]
+        serial = _main(monkeypatch, capsys, args, cpus=1)
+        assert serial[0] == 1 and json.loads(serial[1])["verdict"] == "fail"
+        assert _main(monkeypatch, capsys, args, cpus=2) == serial
+
+    def test_the_capped_document_through_workers(self, monkeypatch, capsys, tmp_path):
+        # the capped arc law of test_capped_arc_law_bytes_are_pinned
+        path = tmp_path / "inf.txt"
+        path.write_text(MATRIX_FILES["inf.txt"])
+        args = [
+            "verify", "--matrix", str(path), "--all-elements",
+            "--max-length", "5", "--radius", "2",
+        ]
+        code, out, err = _main(monkeypatch, capsys, args, cpus=2)
+        assert (code, err) == (2, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "456b2429bd7e61c176ca79c26653da6d0a71270f7835db8fc7ccbaef2ec1859b"
+        )
+
+    @pytest.mark.parametrize("how", ["raise", "sigkill"])
+    def test_a_failing_worker_leaves_the_serial_prefix(self, monkeypatch, capsys, how):
+        # element 5 raises, or kills its worker: exit 4 with the stdout of
+        # the run in this process, and no child left behind
+        import coxlab.cli
+
+        args = ["verify", "--type", "A3", "--all-elements"]
+        target = enumerate_elements(catalog_matrix("A3"))[5]
+        real = coxlab.cli._verify_one
+        kill = []
+
+        def failing(partition, element, source=None):
+            if element == target:
+                if kill:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("graph is not connected")
+            return real(partition, element, source)
+
+        monkeypatch.setattr(coxlab.cli, "_verify_one", failing)
+        code, prefix, err = _main(monkeypatch, capsys, args, cpus=1)
+        assert code == 4 and "ValueError: graph is not connected" in err
+        assert 0 < len(prefix)
+        if how == "sigkill":
+            kill.append(True)
+        code, out, err = _main(monkeypatch, capsys, args, cpus=2)
+        assert code == 4
+        assert out == prefix
+        if how == "sigkill":
+            assert "ended before element 5 was complete: killed by signal 9" in err
+        else:
+            assert "ValueError: graph is not connected" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killing_the_parent_leaves_no_worker_holding_its_output(self):
+        # the workers stop once their pipe has no reader, so stdout and
+        # stderr reach EOF soon after the parent is gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coxlab", "verify", "--type", "D4", "--all-elements"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(1) == b"{"
+            proc.kill()
+            proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
 
 
 class TestCliCommands:
@@ -589,7 +712,7 @@ class TestCliCommands:
 
     def test_verify_writes_whole_blocks(self, monkeypatch, capsys):
         # every write but the last holds at least one block; the bytes are
-        # those of a single block
+        # those of a single block, from this process and from two workers
         import coxlab.cli
 
         args = ["verify", "--type", "A3", "--all-elements"]
@@ -598,11 +721,14 @@ class TestCliCommands:
         writes = []
         monkeypatch.setattr(coxlab.cli, "_VERIFY_BLOCK", 4096)
         monkeypatch.setattr(sys.stdout, "write", writes.append)
-        assert coxlab.cli.main(args) == 0
-        assert "".join(writes) == document
-        assert len(writes) > 2
-        assert all(len(w) >= 4096 for w in writes[:-1])
-        assert 0 < len(writes[-1])
+        for cpus in (1, 2):
+            writes.clear()
+            _set_cpus(monkeypatch, cpus)
+            assert coxlab.cli.main(args) == 0
+            assert "".join(writes) == document
+            assert len(writes) > 2
+            assert all(len(w) >= 4096 for w in writes[:-1])
+            assert 0 < len(writes[-1])
 
     @pytest.mark.slow
     def test_b4_all_elements_streams_under_one_gigabyte(self, tmp_path):

@@ -32,9 +32,9 @@ from coxlab.core import (
     _canonical,
     _canonical_search,
     cayley_table,
-    dihedral_subgroup,
     element_ids,
 )
+from coxlab.props import dihedral_subgroup
 
 from oracles import dihedral_oracle, signed_oracle, symmetric_oracle
 

@@ -629,7 +629,7 @@ class TestPropertyHarness:
             assert report.checks[name] == 30, name
 
     def test_membership_property_catches_a_rotated_sweep(self, monkeypatch):
-        import coxlab.verify
+        import coxlab.props
         from coxlab.core import DihedralReflectionWord, dihedral_reflection_word
 
         def rotated(u, v, cap=None):
@@ -637,7 +637,7 @@ class TestPropertyHarness:
             entries = sweep.entries[1:] + sweep.entries[:1]
             return DihedralReflectionWord(pair=sweep.pair, entries=entries)
 
-        monkeypatch.setattr(coxlab.verify, "dihedral_reflection_word", rotated)
+        monkeypatch.setattr(coxlab.props, "dihedral_reflection_word", rotated)
         report = property_harness(A3, samples=20, seed=3)
         failed = {f.name for f in report.failures}
         assert "two_generated_subgroup_membership" in failed
