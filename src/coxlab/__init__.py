@@ -39,6 +39,7 @@ from .core import (
     multiply,
     reduce_word,
     reduced_expressions,
+    reduced_word_counts,
     validate_matrix,
 )
 from .inversions import InversionWord, inversion_word, occurrence_vector

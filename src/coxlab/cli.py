@@ -2,12 +2,14 @@
 
 Exit codes: 0 when everything passes, 1 on any failed check, 2 when the
 worst outcome is inconclusive, 3 on usage or input errors, 4 on internal
-errors.  Output is deterministic JSON on stdout; diagnostics go to stderr.
+errors and when stdout is closed before the output is complete.  Output
+is deterministic JSON on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import heapq
 import os
 import struct
 import sys
@@ -21,7 +23,13 @@ from .braid_graph import (
     reduced_graph,
 )
 from .catalog import catalog_matrix
-from .core import CapExceededError, CoxeterMatrix, enumerate_elements, reduce_word
+from .core import (
+    CapExceededError,
+    CoxeterMatrix,
+    enumerate_elements,
+    reduce_word,
+    reduced_word_counts,
+)
 from .inversions import inversion_word, occurrence_vector
 from .props import property_harness
 from .serialize import (
@@ -226,31 +234,31 @@ def _verify_one(partition, element, source=None):
     return worst((arc_verdict, report.verdict)), head, report
 
 
-# The verify document goes out in blocks of about this many characters: a
+# The verify document goes out in blocks of about this many bytes: a
 # reader on a pipe is woken once per block, not once per 8 KB of stdout's
 # buffer, so the verifier does not wait on it between elements.
 _VERIFY_BLOCK = 1 << 22
 
 
 class _BlockWriter:
-    """``write`` called with blocks of at least ``size`` characters."""
+    """``write`` called with blocks of at least ``size`` bytes."""
 
     def __init__(self, write, size: int):
         self._write = write
         self._size = size
-        self._pending: list[str] = []
+        self._pending: list[bytes] = []
         self._length = 0
 
-    def write(self, text: str) -> None:
-        self._pending.append(text)
-        self._length += len(text)
+    def write(self, data: bytes) -> None:
+        self._pending.append(data)
+        self._length += len(data)
         if self._length >= self._size:
             self.flush()
 
     def flush(self) -> None:
         if self._pending:
             # the pieces go before the write, which may wait on the reader
-            block = "".join(self._pending)
+            block = b"".join(self._pending)
             self._pending.clear()
             self._length = 0
             self._write(block)
@@ -268,10 +276,10 @@ _PIPE_SIZE = 1 << 20
 def _verify_outcomes(partition, elements, workers: int):
     """``(verdict, chunks)`` per element, in element order.
 
-    With more than one worker and element, and ``os.fork``, worker k of
-    n = min(workers, elements) verifies elements k, k + n, ... in its own
-    process and streams them back; otherwise they are verified here.
-    Either way the chunks are those of ``element_chunks``.
+    With more than one worker and element, and ``os.fork``, the elements
+    are verified in n = min(workers, elements) processes as ``_plan``
+    deals them out and streamed back; otherwise they are verified here.
+    Either way the chunks are those of ``element_chunks``, encoded.
     """
     workers = min(workers, len(elements))
     if workers > 1 and hasattr(os, "fork"):
@@ -279,17 +287,50 @@ def _verify_outcomes(partition, elements, workers: int):
         return
     for element, source in elements:
         verdict, head, report = _verify_one(partition, element, source)
-        chunks = element_chunks(head, report)
+        chunks = map(str.encode, element_chunks(head, report))
         del head, report  # so the next element is computed without this one
         yield verdict, chunks
 
 
-def _worker(partition, elements, pipe: int, inherited: list[int]):
-    """Verify ``elements`` and send them as frames on ``pipe``; never returns.
+def _plan(counts: list[int], workers: int) -> list[list[int]]:
+    """Each worker's element indices, in the order it verifies them.
 
-    It first closes the ``inherited`` read ends, so that each pipe reaches
-    EOF when its own worker ends and a write fails once the parent is gone,
-    and points stdout at /dev/null: the parent's stdout is not its to write.
+    ``counts`` holds each element's |R(w)|, its graph's vertex count.  The
+    elements are dealt out in index order, each to the worker with the
+    fewest reduced words planned so far (Graham's list scheduling), except
+    the largest, w0 in a finite group: it is dealt once the elements before
+    it hold total - workers * largest reduced words (at once when that is
+    not positive, and never after its own index), so that the rest fill the
+    other workers while one verifies it.  Dealt any earlier, it would leave
+    one worker alone on the first elements; any later, alone at the end.
+    """
+    count = len(counts)
+    largest = max(range(count), key=counts.__getitem__)
+    threshold = sum(counts) - workers * counts[largest]
+    start, before = 0, 0
+    while start < largest and before < threshold:
+        before += counts[start]
+        start += 1
+    order = [*range(start), largest, *range(start, largest), *range(largest + 1, count)]
+    loads = [(0, k) for k in range(workers)]  # a heap: the least load, then k
+    plans: list[list[int]] = [[] for _ in range(workers)]
+    for index in order:
+        load, k = loads[0]
+        plans[k].append(index)
+        heapq.heapreplace(loads, (load + counts[index], k))
+    return plans
+
+
+def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int]):
+    """Verify the elements of ``plan`` in its order, send them in element order
+    as frames on ``pipe``; never returns.
+
+    An element verified before one with a smaller index in the plan is held
+    as ``(verdict, head, report)``, or as its traceback, until its turn;
+    a traceback ends the worker once it is sent.  The worker first closes
+    the ``inherited`` read ends, so that each pipe reaches EOF when its own
+    worker ends and a write fails once the parent is gone, and points stdout
+    at /dev/null: the parent's stdout is not its to write.
     """
     status = 1
     try:
@@ -303,17 +344,29 @@ def _worker(partition, elements, pipe: int, inherited: list[int]):
                 out.write(_FRAME.pack(kind, len(payload)))
                 out.write(payload)
 
-            try:
-                for verdict, chunks in _verify_outcomes(partition, elements, 1):
+            due = sorted(plan)
+            sent = 0
+            held = {}
+            for index in plan:
+                try:
+                    held[index] = _verify_one(partition, *elements[index])
+                except Exception:  # the parent reports it at this element's turn
+                    held[index] = traceback.format_exc().rstrip("\n")
+                while sent < len(due) and due[sent] in held:
+                    outcome = held.pop(due[sent])
+                    sent += 1
+                    if isinstance(outcome, str):
+                        send(b"X", outcome.encode())
+                        return
+                    verdict, head, report = outcome
+                    del outcome
                     send(b"V", verdict.value.encode())
-                    for chunk in chunks:
+                    for chunk in element_chunks(head, report):
                         send(b"C", chunk.encode())
                     send(b"E")
                     out.flush()
-            except Exception:  # the parent reports it at this element's turn
-                send(b"X", traceback.format_exc().rstrip("\n").encode())
-            else:
-                status = 0
+                    del head, report
+            status = 0
     finally:
         os._exit(status)  # no atexit handler, finalizer or stdio flush here
 
@@ -321,14 +374,21 @@ def _worker(partition, elements, pipe: int, inherited: list[int]):
 def _forked_outcomes(partition, elements, workers: int):
     """``_verify_outcomes`` from ``workers`` forked processes.
 
-    The pipes are read in element order.  A worker's exception is raised
-    here as a ``WorkerError`` at that element's turn, as is a worker that
-    ended without finishing its element; after any error or interrupt the
+    The plan is ``_plan`` of the elements' reduced-word counts, and the
+    pipes are read in element order.  A worker's exception is raised here
+    as a ``WorkerError`` at that element's turn, as is a worker that ended
+    without finishing its element; after any error or interrupt the
     workers left are killed.  Every worker is reaped.
     """
     import fcntl  # POSIX, as os.fork is
     import signal
 
+    matrix = elements[0][0].matrix
+    plans = _plan(reduced_word_counts(matrix, [e for e, _ in elements]), workers)
+    owner = [0] * len(elements)
+    for k, plan in enumerate(plans):
+        for index in plan:
+            owner[index] = k
     pids: list[int | None] = []
     readers = []
     finished = False
@@ -355,10 +415,10 @@ def _forked_outcomes(partition, elements, workers: int):
             kind, payload = frame(k, index)
             if kind == b"E":
                 return
-            yield payload.decode()
+            yield payload
 
     try:
-        for k in range(workers):
+        for k, plan in enumerate(plans):
             read_end, write_end = os.pipe()
             readers.append(open(read_end, "rb"))
             try:
@@ -369,14 +429,13 @@ def _forked_outcomes(partition, elements, workers: int):
                 pid = os.fork()
                 if pid == 0:
                     _worker(
-                        partition, elements[k::workers], write_end,
+                        partition, elements, plan, write_end,
                         [reader.fileno() for reader in readers],
                     )
             finally:
                 os.close(write_end)
             pids.append(pid)
-        for index in range(len(elements)):
-            k = index % workers
+        for index, k in enumerate(owner):
             _, verdict = frame(k, index)
             yield Verdict(verdict.decode()), chunks(k, index)
         finished = True
@@ -411,7 +470,8 @@ def cmd_verify(args) -> int:
     # one worker per CPU this process may run on, so `taskset` bounds them
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     outcomes = _verify_outcomes(partition, elements, cpus)
-    out = _BlockWriter(sys.stdout.write, _VERIFY_BLOCK)
+    sys.stdout.flush()  # the document goes to the bytes under it
+    out = _BlockWriter(sys.stdout.buffer.write, _VERIFY_BLOCK)
     try:
         verdict = write_verify_json(out.write, matrix, outcomes)
     finally:
@@ -495,12 +555,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a reader gone before the end is caught here
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WorkerError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenPipeError:
+        # what stdout still buffers goes nowhere, so the interpreter's last
+        # flush raises nothing
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        print("error: stdout was closed before the output was complete", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception:
         traceback.print_exc()

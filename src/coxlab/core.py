@@ -611,6 +611,39 @@ def element_ids(matrix: CoxeterMatrix) -> ElementIds:
     return ids
 
 
+def reduced_word_counts(matrix: CoxeterMatrix, elements: Sequence[Element]) -> list[int]:
+    """|R(w)|, the number of reduced expressions, of each of ``elements``.
+
+    |R(e)| = 1 and |R(w)| = sum of |R(ws)| over the s with l(ws) < l(w),
+    since a reduced word ends in a right descent; the sums are pushed up
+    from each ws to w in one pass.  ``elements`` must be in length order and
+    closed under removing a right descent, as enumerate_elements lists them;
+    ValueError otherwise.  No search is run: w.s for an ascent s is read
+    from the store's right multiplication or, on Tits' method, from its
+    index, which holds every reduced expression of the element w.s once
+    enumeration has reached it.
+    """
+    ids = element_ids(matrix)
+    words, index, right = ids.words, ids.index, ids.right
+    xs = [ids.id_of(e.word) for e in elements]
+    counts = dict.fromkeys(xs, 0)
+    if 0 in counts:
+        counts[0] = 1
+    for x in xs:
+        count = counts[x]
+        if not count:
+            raise ValueError(
+                f"{ids.element(x)!r} has no right descent among the elements before it"
+            )
+        word = words[x]
+        for s, y in enumerate(right[x]):
+            if y < 0:
+                y = index.get(word + (s,), -1)
+            if y in counts and len(words[y]) > len(word):
+                counts[y] += count
+    return [counts[x] for x in xs]
+
+
 def sweep_ids(ids: ElementIds, u: int, v: int, cap: int) -> tuple[int, ...]:
     """The dihedral sweep of reflections u != v, as ids: entry i is (uv)^i u.
 

@@ -295,30 +295,32 @@ def element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
 
 
 def write_verify_json(
-    write: Callable[[str], object],
+    write: Callable[[bytes], object],
     matrix: CoxeterMatrix,
-    outcomes: Iterable[tuple[Verdict, Iterable[str]]],
+    outcomes: Iterable[tuple[Verdict, Iterable[bytes]]],
 ) -> Verdict:
     """Write the verify document, one element at a time; return its verdict.
 
     ``outcomes`` yields ``(verdict, chunks)`` per element, where ``chunks``
-    is the element's entry as ``element_chunks`` gives it.  The text is
-    ``dump_json`` of ``{"matrix", "elements", "verdict"}`` with each report
-    as ``parity_report_to_json`` gives it, byte for byte.  Nothing is
-    written until the first element's text is complete, so an error before
-    then leaves the output empty; later elements are written as they come.
+    is the element's entry as ``element_chunks`` gives it, encoded.  The
+    bytes are ``dump_json`` of ``{"matrix", "elements", "verdict"}`` with
+    each report as ``parity_report_to_json`` gives it, encoded (it is
+    ASCII).  Nothing is written until the first element's entry is
+    complete, so an error before then leaves the output empty; later
+    elements are written as they come.
     """
-    header = '{\n  "matrix": ' + _nested(matrix_to_json(matrix), 1) + ',\n  "elements": ['
-    closing = "]"
+    matrix_text = _nested(matrix_to_json(matrix), 1)
+    header = ('{\n  "matrix": ' + matrix_text + ',\n  "elements": [').encode()
+    closing = b"]"
     verdict = Verdict.PASS
     for element_verdict, chunks in outcomes:
         verdict = worst((verdict, element_verdict))
         if header:
-            chunks = [header, "\n", *chunks]
-            header, closing = "", "\n  ]"
+            chunks = [header, b"\n", *chunks]
+            header, closing = b"", b"\n  ]"
         else:
-            write(",\n")
+            write(b",\n")
         for chunk in chunks:
             write(chunk)
-    write(header + closing + f',\n  "verdict": "{verdict.value}"\n}}\n')
+    write(header + closing + f',\n  "verdict": "{verdict.value}"\n}}\n'.encode())
     return verdict

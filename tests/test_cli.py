@@ -120,9 +120,9 @@ def _reference_document(matrix, outcomes):
 
 def _streamed_document(matrix, outcomes):
     chunks = []
-    pieces = ((v, element_chunks(head, r)) for v, head, r in outcomes)
+    pieces = ((v, map(str.encode, element_chunks(head, r))) for v, head, r in outcomes)
     verdict = write_verify_json(chunks.append, matrix, pieces)
-    return "".join(chunks), verdict, chunks
+    return b"".join(chunks).decode(), verdict, chunks
 
 
 def _all_elements(name):
@@ -240,7 +240,7 @@ class TestVerifyWriter:
         assert len(outcomes[0][2].cycles) == 995
         text, _, chunks = _streamed_document(matrix, outcomes)
         assert text == _reference_document(matrix, outcomes)
-        cycle_chunks = [c for c in chunks if c.lstrip(",\n").startswith("          {")]
+        cycle_chunks = [c for c in chunks if c.lstrip(b",\n").startswith(b"          {")]
         assert len(cycle_chunks) == 2
 
 
@@ -259,6 +259,47 @@ def _main(monkeypatch, capsys, args, cpus):
     return code, captured.out, captured.err
 
 
+def _reduced_word_counts(name, max_length=None):
+    from coxlab.core import reduced_word_counts
+
+    matrix = catalog_matrix(name)
+    return reduced_word_counts(matrix, enumerate_elements(matrix, max_length=max_length))
+
+
+def _check_failing_element(monkeypatch, capsys, how, index):
+    """Element ``index`` of A3 raises, or kills its worker: exit 4 with the
+    stdout of the run in this process, and no child left behind."""
+    import coxlab.cli
+
+    args = ["verify", "--type", "A3", "--all-elements"]
+    target = enumerate_elements(catalog_matrix("A3"))[index]
+    real = coxlab.cli._verify_one
+    kill = []
+
+    def failing(partition, element, source=None):
+        if element == target:
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("graph is not connected")
+        return real(partition, element, source)
+
+    monkeypatch.setattr(coxlab.cli, "_verify_one", failing)
+    code, prefix, err = _main(monkeypatch, capsys, args, cpus=1)
+    assert code == 4 and "ValueError: graph is not connected" in err
+    assert 0 < len(prefix)
+    if how == "sigkill":
+        kill.append(True)
+    code, out, err = _main(monkeypatch, capsys, args, cpus=2)
+    assert code == 4
+    assert out == prefix
+    if how == "sigkill":
+        assert f"ended before element {index} was complete: killed by signal 9" in err
+    else:
+        assert "ValueError: graph is not connected" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestVerifyWorkers:
     @pytest.mark.parametrize(
         "name, max_length",
@@ -271,7 +312,7 @@ class TestVerifyWorkers:
         partition = pair_classes(matrix)
         elements = [(e, None) for e in enumerate_elements(matrix, max_length=max_length)]
         runs = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             digest, verdicts = hashlib.sha256(), []
 
             def recorded():
@@ -279,12 +320,10 @@ class TestVerifyWorkers:
                     verdicts.append(verdict)
                     yield verdict, chunks
 
-            verdict = write_verify_json(
-                lambda text: digest.update(text.encode()), matrix, recorded()
-            )
+            verdict = write_verify_json(digest.update, matrix, recorded())
             runs.append((digest.hexdigest(), verdict, verdicts))
         assert len(runs[0][2]) == len(elements)
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_a_failing_document_through_workers(self, monkeypatch, capsys):
         # the wrong_vectors negative control over every element of A3
@@ -314,35 +353,84 @@ class TestVerifyWorkers:
     def test_a_failing_worker_leaves_the_serial_prefix(self, monkeypatch, capsys, how):
         # element 5 raises, or kills its worker: exit 4 with the stdout of
         # the run in this process, and no child left behind
+        _check_failing_element(monkeypatch, capsys, how, 5)
+
+    @pytest.mark.parametrize("how", ["raise", "sigkill"])
+    def test_a_failing_w0_leaves_the_serial_prefix(self, monkeypatch, capsys, how):
+        # A3's w0, element 23, is dealt before elements 20-22
+        _check_failing_element(monkeypatch, capsys, how, 23)
+
+    def test_a_held_element_waits_for_its_turn(self, monkeypatch, capsys):
+        # with w0 verified first, its worker holds it, or its traceback,
+        # until the elements before it are sent
         import coxlab.cli
 
+        real = coxlab.cli._plan
+
+        def w0_first(counts, workers):
+            plans = real(counts, workers)
+            for plan in plans:
+                if plan[-1] == len(counts) - 1:
+                    plan.insert(0, plan.pop())
+            return plans
+
         args = ["verify", "--type", "A3", "--all-elements"]
-        target = enumerate_elements(catalog_matrix("A3"))[5]
-        real = coxlab.cli._verify_one
-        kill = []
+        document = _main(monkeypatch, capsys, args, cpus=1)
+        monkeypatch.setattr(coxlab.cli, "_plan", w0_first)
+        assert _main(monkeypatch, capsys, args, cpus=2) == document
+        _check_failing_element(monkeypatch, capsys, "raise", 23)
 
-        def failing(partition, element, source=None):
-            if element == target:
-                if kill:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise ValueError("graph is not connected")
-            return real(partition, element, source)
+    @pytest.mark.parametrize(
+        "name, max_length",
+        [("A3", None), ("B3", None), ("H3", None), ("I2_7", None), ("D4", None), ("B4", 10)],
+    )
+    def test_the_plan_deals_every_element_once(self, name, max_length):
+        from coxlab.cli import _plan
 
-        monkeypatch.setattr(coxlab.cli, "_verify_one", failing)
-        code, prefix, err = _main(monkeypatch, capsys, args, cpus=1)
-        assert code == 4 and "ValueError: graph is not connected" in err
-        assert 0 < len(prefix)
-        if how == "sigkill":
-            kill.append(True)
-        code, out, err = _main(monkeypatch, capsys, args, cpus=2)
-        assert code == 4
-        assert out == prefix
-        if how == "sigkill":
-            assert "ended before element 5 was complete: killed by signal 9" in err
-        else:
-            assert "ValueError: graph is not connected" in err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        counts = _reduced_word_counts(name, max_length)
+        largest = counts.index(max(counts))
+        for workers in (2, 3, 4):
+            plans = _plan(counts, workers)
+            assert sorted(i for plan in plans for i in plan) == list(range(len(counts)))
+            for plan in plans:
+                rest = [i for i in plan if i != largest]
+                assert rest == sorted(rest)
+
+    def test_the_largest_element_is_dealt_before_the_end(self):
+        from coxlab.cli import _plan
+
+        # D4's w0 has 2 316 of its 9 719 reduced words; dealt last, it would
+        # go on top of an even split of the rest
+        counts = _reduced_word_counts("D4")
+        loads = sorted(sum(counts[i] for i in plan) for plan in _plan(counts, 2))
+        assert counts[-1] == 2316 and loads[1] - loads[0] < 100
+        # with no more than workers * largest in all, it is dealt at once
+        assert _plan([1, 1, 1, 10], 2) == [[3], [0, 1, 2]]
+
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_a_closed_stdout_exits_four(self, cpus):
+        # the reader leaves after one byte: one line on stderr, exit 4, and
+        # stderr reaches EOF, so no worker is left holding it
+        preexec = None
+        if cpus == "one":
+            if not hasattr(os, "sched_setaffinity"):
+                pytest.skip("no CPU affinity on this platform")
+            cpu = min(os.sched_getaffinity(0))
+            preexec = lambda: os.sched_setaffinity(0, {cpu})  # noqa: E731
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coxlab", "verify", "--type", "D4", "--all-elements"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=preexec,
+        )
+        try:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 4
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+        assert err == b"error: stdout was closed before the output was complete\n"
 
     def test_killing_the_parent_leaves_no_worker_holding_its_output(self):
         # the workers stop once their pipe has no reader, so stdout and
@@ -720,12 +808,12 @@ class TestCliCommands:
         document = capsys.readouterr().out
         writes = []
         monkeypatch.setattr(coxlab.cli, "_VERIFY_BLOCK", 4096)
-        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        monkeypatch.setattr(sys.stdout.buffer, "write", writes.append)
         for cpus in (1, 2):
             writes.clear()
             _set_cpus(monkeypatch, cpus)
             assert coxlab.cli.main(args) == 0
-            assert "".join(writes) == document
+            assert b"".join(writes) == document.encode()
             assert len(writes) > 2
             assert all(len(w) >= 4096 for w in writes[:-1])
             assert 0 < len(writes[-1])

@@ -33,6 +33,7 @@ from coxlab.core import (
     _canonical_search,
     cayley_table,
     element_ids,
+    reduced_word_counts,
 )
 from coxlab.props import dihedral_subgroup
 
@@ -327,6 +328,55 @@ def _without_table(matrix):
     copy = CoxeterMatrix(matrix.entries)
     copy._table = False
     return copy
+
+
+class TestReducedWordCounts:
+    """|R(w)| from the descent recurrence, against the braid orbits."""
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "I2_7"])
+    def test_counts_are_the_orbit_sizes(self, name):
+        matrix = catalog_matrix(name)
+        elements = enumerate_elements(matrix)
+        assert reduced_word_counts(matrix, elements) == [
+            len(reduced_expressions(e)) for e in elements
+        ]
+
+    def test_counts_on_tits_method(self):
+        # the affine A~2 ball has no table: the ascents are read from the
+        # interned store's index, with no new search
+        matrix = validate_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+        elements = enumerate_elements(matrix, max_length=7)
+        ids = element_ids(matrix)
+        assert not matrix._table
+        interned = len(ids.words)
+        counts = reduced_word_counts(matrix, elements)
+        assert len(ids.words) == interned
+        assert counts == [len(reduced_expressions(e)) for e in elements]
+
+    @pytest.mark.parametrize(
+        "name, longest",
+        [("A4", 768), ("A5", 292_864), ("A6", 1_100_742_656), ("B4", 24_024),
+         ("B5", 701_149_020)],
+    )
+    def test_longest_elements(self, name, longest):
+        # the hook-length counts for A4-A6 (Stanley 1984), and B4, B5
+        matrix = catalog_matrix(name)
+        counts = reduced_word_counts(matrix, enumerate_elements(matrix))
+        assert counts[-1] == max(counts) == longest
+
+    @pytest.mark.parametrize(
+        "name, total",
+        [("D4", 9_719), ("B4", 103_484), ("A5", 1_095_266), ("F4", 9_593_133)],
+    )
+    def test_group_sums(self, name, total):
+        # the vertex counts of verify --all-elements
+        matrix = catalog_matrix(name)
+        assert sum(reduced_word_counts(matrix, enumerate_elements(matrix))) == total
+
+    def test_elements_must_be_closed_under_descents(self):
+        elements = enumerate_elements(A3)
+        with pytest.raises(ValueError, match="no right descent"):
+            reduced_word_counts(A3, elements[:2] + elements[5:])
 
 
 class TestCayleyTable:
