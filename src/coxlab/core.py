@@ -834,8 +834,9 @@ def enumerate_elements(
     built if it gets one (see cayley_table); with max_length an already
     built table is used.  A group with a table lists the table's elements.
     Otherwise the group is enumerated breadth first over right
-    multiplication with Tits' method; without max_length it must then be
-    finite, and the length guard cuts off words that keep growing.
+    multiplication with Tits' method, which expands no word of length
+    max_length; without max_length the group must then be finite, and
+    the length guard cuts off words that keep growing.
     CapExceededError when more than `cap` elements would be listed;
     ValueError on a negative max_length.
     """
@@ -852,7 +853,7 @@ def enumerate_elements(
     seen = {(): None}
     order: list[Word] = [()]
     frontier: list[Word] = [()]
-    while frontier:
+    while frontier and (max_length is None or len(frontier[0]) < max_length):
         if max_length is None and len(frontier[0]) >= length_guard:
             infinite = group_order(matrix) is None
             claim = "group looks infinite" if infinite else "enumeration passed the length guard"
@@ -862,8 +863,6 @@ def enumerate_elements(
             for s in range(matrix.rank):
                 y = _canonical(matrix, w + (s,))
                 if len(y) > len(w) and y not in seen:
-                    if max_length is not None and len(y) > max_length:
-                        continue
                     if len(seen) >= cap:
                         raise CapExceededError(cap, "element enumeration exceeded cap")
                     seen[y] = None

@@ -138,28 +138,30 @@ def graph_to_json(graph: BraidGraph, partition: PairClassPartition) -> dict:
 
 
 def parity_report_to_json(report: CycleParityReport) -> dict:
-    per_cycle: list[list[dict]] = [[] for _ in report.cycles]
-    verdicts: list[list[Verdict]] = [[] for _ in report.cycles]
-    for check in report.checks:
-        per_cycle[check.cycle_index].append(
+    """The report as a dict; the cycles of a signature share its checks."""
+    checks = [
+        [
             {
-                "class": check.class_id,
-                "op_class": check.op_class_id,
-                "count": check.count,
-                "op_count": check.op_count,
-                "verdict": check.verdict.value,
+                "class": class_id,
+                "op_class": op_id,
+                "count": count,
+                "op_count": op_count,
+                "verdict": verdict.value,
             }
-        )
-        verdicts[check.cycle_index].append(check.verdict)
+            for class_id, op_id, count, op_count, verdict in rows
+        ]
+        for rows in report.signatures
+    ]
+    verdicts = [worst(row[-1] for row in rows).value for rows in report.signatures]
     cycles = [
         {
             "index": index,
             "arcs": list(cycle),
             "length": len(cycle),
-            "checks": per_cycle[index],
-            "verdict": worst(verdicts[index]).value,
+            "checks": checks[k],
+            "verdict": verdicts[k],
         }
-        for index, cycle in enumerate(report.cycles)
+        for index, (cycle, k) in enumerate(zip(report.cycles, report.cycle_signatures))
     ]
     return {
         "mode": report.graph_mode,

@@ -7,8 +7,9 @@ class c and its opposite (the class of the swapped pair), a directed
 cycle uses as many arcs of color c as of the opposite color, and an even
 number in total.  Both statements are additive over the cycle space, so a
 fundamental-cycle basis of the (bidirected) graph suffices.  Its spanning
-tree is the BFS tree the graph was built along, read off the arcs; random
-closed walks guard the reduction in the test suite.  A cycle's checks
+tree is the BFS tree the graph was built along, read off the arcs, in
+which a parent's index is smaller than its child's; random closed walks
+guard the reduction in the test suite.  A cycle's checks
 depend only on the multiset of its arc colours (its signature), so they
 are computed and kept once per signature, not once per cycle.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .braid_graph import (
     BraidGraph,
@@ -262,6 +263,9 @@ def fundamental_cycles(graph: BraidGraph) -> list[list[int]]:
     the first arc u -> v with u < v is the one that discovered v, so one
     pass over the arcs reads off the tree the graph was built along.  A
     vertex v > 0 with no arc from an earlier vertex raises ValueError.
+    So every tree parent has a smaller index than its child, and the walk
+    to a non-tree edge's common ancestor steps up from whichever end has
+    the larger index, which needs no depths.
     """
     n = len(graph.vertices)
     lookup: dict[tuple[int, int], int] = {}
@@ -277,11 +281,8 @@ def fundamental_cycles(graph: BraidGraph) -> list[list[int]]:
             edges.append(key)
             if parent[v] < 0:
                 parent[v] = u
-    depth = [0] * n
-    for v in range(1, n):
-        if parent[v] < 0:
-            raise ValueError("graph is not connected")
-        depth[v] = depth[parent[v]] + 1
+    if -1 in parent[1:]:
+        raise ValueError("graph is not connected")
 
     cycles: list[list[int]] = []
     for u, v in edges:
@@ -289,20 +290,16 @@ def fundamental_cycles(graph: BraidGraph) -> list[list[int]]:
     for u, v in edges:
         if parent[v] == u:
             continue
-        # tree path from v back to u
+        # tree paths from v and u up to their common ancestor
         up_v, up_u = [v], [u]
         x, y = v, u
-        while depth[x] > depth[y]:
-            x = parent[x]
-            up_v.append(x)
-        while depth[y] > depth[x]:
-            y = parent[y]
-            up_u.append(y)
         while x != y:
-            x = parent[x]
-            y = parent[y]
-            up_v.append(x)
-            up_u.append(y)
+            if x > y:
+                x = parent[x]
+                up_v.append(x)
+            else:
+                y = parent[y]
+                up_u.append(y)
         path = up_v + up_u[:-1][::-1]  # v ... lca ... u
         cycle = [lookup[(u, v)]]
         for a, b in zip(path, path[1:]):
@@ -354,27 +351,22 @@ class CycleParityReport:
         )
 
 
-def parity_ok(counts: Mapping[int, int], class_id: int, op_id: int) -> tuple[int, int, bool]:
-    """Counts for one class/op pair plus the two-part parity condition."""
-    count = counts.get(class_id, 0)
-    op_count = counts.get(op_id, 0)
-    if class_id == op_id:
-        ok = count % 2 == 0
-    else:
-        ok = count == op_count and (count + op_count) % 2 == 0
-    return count, op_count, ok
-
-
 def _class_results(counts: Counter, op_ids: Sequence[int], exact: bool) -> tuple[CheckRow, ...]:
     """(class, op_class, count, op_count, verdict) per class of a closed walk.
 
     counts maps class ids to arc counts; op_ids[c] is the opposite of
-    class c; exact is the partition's status.
+    class c; exact is the partition's status.  A self-opposite class
+    passes on an even count, any other on count == op_count with an even
+    sum.
     """
     failed = Verdict.FAIL if exact else Verdict.INCONCLUSIVE
     results = []
     for class_id, op_id in enumerate(op_ids):
-        count, op_count, ok = parity_ok(counts, class_id, op_id)
+        count, op_count = counts[class_id], counts[op_id]
+        if class_id == op_id:
+            ok = count % 2 == 0
+        else:
+            ok = count == op_count and (count + op_count) % 2 == 0
         results.append((class_id, op_id, count, op_count, Verdict.PASS if ok else failed))
     return tuple(results)
 

@@ -724,6 +724,12 @@ class TestCliCommands:
              "3ead7b4f4e4c685184bf7153dd8878cec4a0e1a28ce88a1d7e3b7c1bd966bcc5"),
             (("invs", "--type", "I2_65", "--word", I2_65_WORD), 0,
              "0bbcf9245013639e6183968573615d1908f8c1aed4db877eaff15c9830e753f0"),
+            # the A4 expression graph above under a radius-0 partition: 97 911
+            # bytes with 16 inconclusive checks, so the report's non-pass rows
+            # are pinned
+            (("expr-graph", "--type", "A4", "--word", "2 1 2 4", "--length", "6",
+              "--radius", "0"), 2,
+             "8604d9bfa1f7b1d4203da3144d73ed790da47b103e6ce3e39a476a31af9d6cba"),
         ],
     )
     def test_output_bytes_are_pinned(self, tmp_path, args, code, digest):

@@ -298,6 +298,25 @@ class TestEnumerateElements:
             with pytest.raises(CapExceededError):
                 enumerate_elements(matrix, max_length=max_length, cap=full - 1)
 
+    @pytest.mark.parametrize(
+        "rows,max_length",
+        [
+            ([[1, 3, INFINITY], [3, 1, 3], [INFINITY, 3, 1]], 11),
+            ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 10),
+            (B3.entries, 4),
+        ],
+        ids=["inf", "affine_a2", "B3_tits"],
+    )
+    def test_bounded_tits_enumeration_reduces_no_longer_word(self, rows, max_length):
+        # Tits' method interns every element whose word it reduces, so the
+        # store holds exactly the listed elements only if the enumeration
+        # never expands a word of length max_length
+        matrix = _without_table(validate_matrix(rows))
+        elements = enumerate_elements(matrix, max_length=max_length)
+        words = element_ids(matrix).words
+        assert max(map(len, words)) <= max_length
+        assert sorted(words) == sorted(e.word for e in elements)
+
     def test_negative_max_length_is_rejected_on_both_paths(self):
         assert cayley_table(A3) is not None
         for matrix in (A3, _without_table(A3)):
