@@ -16,7 +16,7 @@ finer than the truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     DEFAULT_ELEMENT_CAP,
@@ -77,6 +77,9 @@ class PairClass:
 class PairClassPartition:
     matrix: CoxeterMatrix
     classes: tuple[PairClass, ...]
+    # verify.verify_parity's check rows per colour multiset, which depend
+    # on this partition alone; a copy with other classes starts empty
+    signature_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def class_of(self, pair: GenPair) -> int:
         for cls in self.classes:
@@ -291,8 +294,7 @@ def _radius_partition(matrix: CoxeterMatrix, radius: int) -> PairClassPartition:
     return PairClassPartition(matrix=matrix, classes=tuple(out))
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(NamedTuple):
     source: int
     target: int
     pair: GenPair
@@ -321,8 +323,7 @@ class BraidGraph:
     def with_arc_color(self, arc_index: int, color: int) -> "BraidGraph":
         """Copy with one arc recolored (negative-control experiments)."""
         arcs = list(self.arcs)
-        old = arcs[arc_index]
-        arcs[arc_index] = Arc(old.source, old.target, old.pair, old.position, color)
+        arcs[arc_index] = arcs[arc_index]._replace(color=color)
         return BraidGraph(
             self.matrix, self.element, self.mode, self.expression_length,
             self.vertices, tuple(arcs),

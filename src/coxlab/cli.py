@@ -279,15 +279,17 @@ def _verify_outcomes(partition, elements, workers: int):
     With more than one worker and element, and ``os.fork``, the elements
     are verified in n = min(workers, elements) processes as ``_plan``
     deals them out and streamed back; otherwise they are verified here.
-    Either way the chunks are those of ``element_chunks``, encoded.
+    Either way the chunks are those of ``element_chunks``, encoded, with
+    one memo of signature texts per process.
     """
     workers = min(workers, len(elements))
     if workers > 1 and hasattr(os, "fork"):
         yield from _forked_outcomes(partition, elements, workers)
         return
+    texts = {}
     for element, source in elements:
         verdict, head, report = _verify_one(partition, element, source)
-        chunks = map(str.encode, element_chunks(head, report))
+        chunks = map(str.encode, element_chunks(head, report, texts))
         del head, report  # so the next element is computed without this one
         yield verdict, chunks
 
@@ -347,6 +349,7 @@ def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int
             due = sorted(plan)
             sent = 0
             held = {}
+            texts = {}
             for index in plan:
                 try:
                     held[index] = _verify_one(partition, *elements[index])
@@ -361,7 +364,7 @@ def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int
                     verdict, head, report = outcome
                     del outcome
                     send(b"V", verdict.value.encode())
-                    for chunk in element_chunks(head, report):
+                    for chunk in element_chunks(head, report, texts):
                         send(b"C", chunk.encode())
                     send(b"E")
                     out.flush()

@@ -549,12 +549,14 @@ class ElementIds:
     letter to (the id of prefix.letter, the id of the inversion-word entry
     prefix.letter.prefix^-1); `sweeps` maps a pair of reflection ids to the
     ids of its dihedral sweep; `sweep_words` keeps the
-    DihedralReflectionWord wrappers handed out by dihedral_reflection_word.
+    DihedralReflectionWord wrappers handed out by dihedral_reflection_word;
+    `candidates` holds the occurrence-vector candidates of the last entry
+    set a standalone inversions.occurrence_ids call asked for, at most one.
     """
 
     __slots__ = (
         "matrix", "words", "index", "right", "closure", "pairs", "seeds", "steps", "sweeps",
-        "sweep_words",
+        "sweep_words", "candidates",
     )
 
     def __init__(self, matrix: CoxeterMatrix, words: list[Word], right: list[Sequence[int]]):
@@ -568,6 +570,7 @@ class ElementIds:
         self.steps: dict[int, tuple[int, int]] = {}
         self.sweeps: dict[tuple[int, int], tuple[int, ...]] = {}
         self.sweep_words: dict[tuple[int, int], DihedralReflectionWord] = {}
+        self.candidates: dict[frozenset[int], tuple] = {}
 
     def walk(self, x: int, word: Sequence[int]) -> int:
         right = self.right
@@ -577,6 +580,19 @@ class ElementIds:
                 y = self._fill(x, s)
             x = y
         return x
+
+    def prefixes(self, word: Sequence[int]) -> list[int]:
+        """The ids of word's prefixes: walk(0, word[:i]) for i = 0, ..., len(word)."""
+        right = self.right
+        x = 0
+        out = [0]
+        for s in word:
+            y = right[x][s]
+            if y < 0:
+                y = self._fill(x, s)
+            x = y
+            out.append(x)
+        return out
 
     def _fill(self, x: int, s: int) -> int:
         key = self.words[x] + (s,)

@@ -17,9 +17,10 @@ only if its whole sweep lies among the word's inversion entries, since a
 sweep starts with u and ends with v and a reduced word's entries are
 distinct.  Those candidates depend on the entry set alone, so a caller
 that checks many words of one element (the arc law) collects them once
-and passes the memo along.  A sweep is walked only when both of its
-endpoints are entries of the word, so a large dihedral group walks only
-the sweeps of its few entries.  As the entries are distinct, the sweep of
+and passes the memo along; standalone calls share one slot on the element
+store, which keeps the last entry set's candidates.  A sweep is walked
+only when both of its endpoints are entries of the word, so a large
+dihedral group walks only the sweeps of its few entries.  As the entries are distinct, the sweep of
 (u, v) is a subword iff its entries sit at increasing positions, and the
 sweep of (v, u), its reversal, iff they sit at decreasing ones: one look
 at the positions decides both bits.
@@ -31,8 +32,9 @@ per (prefix id, letter), a pure function of the word's own prefix, so a
 word's vector is still computed from that word alone.  The public
 functions below (inversion_word, occurrence_vector) wrap them and return
 reflections and a frozenset of pairs of canonical words.  Nothing is
-memoized per word; the closure, its numbering, the entry memo and the
-sweeps live on the matrix's element store.
+memoized per word; the closure, its numbering, the entry memo, the
+sweeps and the last entry set's candidates live on the matrix's element
+store.
 """
 
 from __future__ import annotations
@@ -148,18 +150,23 @@ def occurrence_ids(
     subword of inv; occurrence_pairs reads the bits back.  A candidate's
     sweep has the order m of its generator pair, read from the closure, so
     no order search or order cap is involved.  memo, if given, keeps the
-    candidates per entry set across calls; the vector itself is read off
-    this word's own entry positions on every call.  inv must use ids taken
-    after fixed_ids.  Raises ValueError when the word is not reduced, and
-    ElementCapExceeded when the conjugation closure cannot be completed.
+    candidates per entry set across calls; without it the element store
+    keeps those of the last entry set asked for (ElementIds.candidates), so
+    calls over the words of one element collect them once.  The vector
+    itself is read off this word's own entry positions on every call.  inv
+    must use ids taken after fixed_ids.  Raises ValueError when the word is
+    not reduced, and ElementCapExceeded when the conjugation closure cannot
+    be completed.
     """
     ids = element_ids(matrix)
     if len(ids.words[inv.end]) != len(inv.source):
         raise ValueError("occurrence_vector requires a reduced word")
     entries = inv.entries
-    if memo is None:
-        memo = {}
     key = frozenset(entries)
+    if memo is None:
+        memo = ids.candidates
+        if key not in memo:
+            memo.clear()  # one entry set at a time
     found = memo.get(key)
     if found is None:
         conjugate_pair_closure(matrix)  # or its memoized ElementCapExceeded

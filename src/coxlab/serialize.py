@@ -265,12 +265,17 @@ def _cycle_text(index: int, arcs: tuple[int, ...], signature_text: str) -> str:
     )
 
 
-def element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
+def element_chunks(
+    head: dict, report: CycleParityReport, texts: dict[tuple[CheckRow, ...], str]
+) -> Iterator[str]:
     """One entry of a verify document's ``elements`` list, in chunks.
 
     ``head`` holds the entry's keys before ``"report"``; the report is
     written as ``parity_report_to_json`` gives it, without building it.
-    Each signature's checks are formatted once and shared by its cycles.
+    Each signature's checks are formatted once and shared by its cycles:
+    ``texts`` maps a signature's rows to that text and keeps it across
+    calls, so that a verify run, which passes one dict to all its elements,
+    formats each distinct table once.
     """
     summary = {
         "mode": report.graph_mode,
@@ -282,7 +287,12 @@ def element_chunks(head: dict, report: CycleParityReport) -> Iterator[str]:
         + '      "report": {\n' + _members(summary, 4)
         + '        "cycles": ['
     )
-    signature_texts = [_signature_text(rows) for rows in report.signatures]
+    signature_texts = []
+    for rows in report.signatures:
+        text = texts.get(rows)
+        if text is None:
+            text = texts[rows] = _signature_text(rows)
+        signature_texts.append(text)
     cycles, cycle_signatures = report.cycles, report.cycle_signatures
     count = len(cycles)
     for start in range(0, count, _CYCLES_PER_CHUNK):

@@ -10,8 +10,14 @@ fundamental-cycle basis of the (bidirected) graph suffices.  Its spanning
 tree is the BFS tree the graph was built along, read off the arcs, in
 which a parent's index is smaller than its child's; random closed walks
 guard the reduction in the test suite.  A cycle's checks
-depend only on the multiset of its arc colours (its signature), so they
-are computed and kept once per signature, not once per cycle.
+depend only on the multiset of its arc colours (its signature) and on the
+partition, so they are computed once per signature and partition and kept
+on the partition, not once per cycle or per graph.
+
+Each arc-law quantity is computed once, at the scope it depends on, for
+one verify_arc_steps call: a vertex's inversion word and occurrence vector
+once per vertex, the ids of a source vertex's prefixes once per source,
+each q s q^-1 once per (q, s); the move position comes with the arc.
 
 Verdicts are three-valued: a failure that rests on a provisional class
 partition or on a capped conjugation closure is reported as inconclusive,
@@ -93,17 +99,20 @@ def find_braid_factor(
 ) -> BraidStepCertificate:
     """Locate the move window and build its certificate.
 
-    Takes the least window that matches.  s', t' and the factor are read
-    off a's inversion word, then cross-checked: the endpoints against
-    q s q^-1 and q t q^-1, the factor against the sweep of (s', t') of
-    order m(s, t), and b's inversion word against a's with the factor
-    reversed.  Raises NotABraidStep when no window works and AssertionError
-    when a cross-check fails.  The work runs on element ids (_certificate).
+    The window starts where the words first differ (_move_position).  s',
+    t' and the factor are read off a's inversion word, then cross-checked:
+    the endpoints against q s q^-1 and q t q^-1, the factor against the
+    sweep of (s', t') of order m(s, t), and b's inversion word against a's
+    with the factor reversed.  Raises NotABraidStep when no window works
+    and AssertionError when a cross-check fails.  The work runs on element
+    ids (_certificate).
     """
     wa, wb = check_word(a, matrix), check_word(b, matrix)
     ids = element_ids(matrix)
-    position, q, s_prime, t_prime, factor = _certificate(
-        wa, wb, inversion_ids(wa, matrix), inversion_ids(wb, matrix), pair, ids
+    position = _move_position(wa, wb)
+    q, s_prime, t_prime, factor = _certificate(
+        wa, wb, inversion_ids(wa, matrix), inversion_ids(wb, matrix), pair,
+        position, ids.prefixes(wa), {}, ids,
     )
     return BraidStepCertificate(
         position=position,
@@ -114,15 +123,34 @@ def find_braid_factor(
     )
 
 
+def _move_position(wa: Sequence[int], wb: Sequence[int]) -> int:
+    """Where a braid window between two words must start.
+
+    A window starts at the first letter where the words differ, since its
+    first letters s != t differ and everything before it agrees; equal
+    words get len(wa), where no window fits.
+    """
+    position = 0
+    for x, y in zip(wa, wb):
+        if x != y:
+            break
+        position += 1
+    return position
+
+
 def _certificate(
     wa: Word, wb: Word, inv_a: InversionIds, inv_b: InversionIds, pair: GenPair,
-    ids: ElementIds,
-) -> tuple[int, int, int, int, tuple[int, ...]]:
-    """find_braid_factor on ids: (position, q, s', t', factor).
+    position: int, prefixes: Sequence[int], conjugates: dict[int, list[int]], ids: ElementIds,
+) -> tuple[int, int, int, tuple[int, ...]]:
+    """find_braid_factor on ids, for the move at position: (q, s', t', factor).
 
-    q is walked from the identity along wa[:position], and the endpoints
-    are compared with fresh walks of q s q^-1 and q t q^-1 (q^-1 is the
-    reversed prefix), not with the inversion-word memo.
+    The words must agree before the position and after the window, and
+    hold the move's two windows at it; NotABraidStep otherwise.
+    prefixes[i] is the id of wa[:i], walked from the identity along wa
+    (ElementIds.prefixes), not read from the inversion-word memo, so q is
+    prefixes[position].  The endpoints are compared with q s q^-1 and
+    q t q^-1, each walked the first time its (q, generator) comes up (q^-1
+    is the reversed prefix) and then read from conjugates[q][generator].
     """
     s, t = pair
     matrix = ids.matrix
@@ -135,35 +163,31 @@ def _certificate(
     m, window, flipped = hit
     if len(wa) != len(wb):
         raise NotABraidStep("words have different lengths")
-    # a window starts at the first letter where the words differ, since
-    # its first letters s != t differ and everything before it agrees;
-    # equal words get position len(wa), where no window fits
-    position = 0
-    for x, y in zip(wa, wb):
-        if x != y:
-            break
-        position += 1
     end = position + m
-    if wa[position:end] != window or wb[position:end] != flipped or wa[end:] != wb[end:]:
+    # wb is wa with the window flipped: equal prefixes and tails
+    if position < 0 or wa[position:end] != window or wb != wa[:position] + flipped + wa[end:]:
         raise NotABraidStep(f"no ({s}, {t}) braid window between the words")
 
-    prefix = wa[:position]
-    back = prefix[::-1]
-    q = ids.walk(0, prefix)
-    a_entries, b_entries = inv_a.entries, inv_b.entries
+    q = prefixes[position]
+    row = conjugates.get(q)
+    if row is None:
+        row = conjugates[q] = [-1] * matrix.rank
+    ends = []
+    for g in pair:
+        x = row[g]
+        if x < 0:
+            x = row[g] = ids.walk(q, (g, *wa[:position][::-1]))
+        ends.append(x)
+    a_entries = inv_a.entries
     factor = a_entries[position:end]
     s_prime, t_prime = factor[0], factor[-1]
-    if s_prime != ids.walk(ids.walk(q, (s,)), back) or t_prime != ids.walk(ids.walk(q, (t,)), back):
+    if [s_prime, t_prime] != ends:
         raise AssertionError("factor endpoints disagree with conjugated generators")
     if factor != sweep_ids(ids, s_prime, t_prime, cap=m):
         raise AssertionError("certificate factor mismatch against inversion word")
-    if (
-        b_entries[position:end] != factor[::-1]
-        or b_entries[:position] != a_entries[:position]
-        or b_entries[end:] != a_entries[end:]
-    ):
+    if inv_b.entries != a_entries[:position] + factor[::-1] + a_entries[end:]:
         raise AssertionError("braid move did not reverse the inversion-word factor")
-    return position, q, s_prime, t_prime, factor
+    return q, s_prime, t_prime, factor
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,17 +201,20 @@ _PASS = StepResult(Verdict.PASS)  # shared by every passing arc
 
 def _arc_law(
     words: Sequence[Sequence[int]],
-    arcs: Sequence[tuple[int, int, GenPair]],
+    arcs: Sequence[Sequence],
     matrix: CoxeterMatrix,
 ) -> list[StepResult]:
-    """verify_has_step on (source, target, pair) arcs between words.
+    """verify_has_step on arcs between words: Arcs, or (source, target, pair, position).
 
     Runs on element ids.  Each word's inversion word and occurrence vector
     are built at most once, from that word alone, never by moving along an
-    arc; the vectors are int bitsets (inversions.occurrence_ids), and they
-    and the candidate pairs collected once per entry set are dropped when
-    the call returns.  Only a failing arc reads its two vectors back as
-    pairs, to count the mismatches.
+    arc; the vectors are int bitsets (inversions.occurrence_ids).  A source
+    word's prefixes are walked when its first arc comes up and kept until
+    an arc from another source, so arcs listed by source, as a graph lists
+    them, walk each source once; each q s q^-1 is walked once per (q, s)
+    (_certificate).  These, and the candidate pairs collected once per
+    entry set, are dropped when the call returns.  Only a failing arc reads
+    its two vectors back as pairs, to count the mismatches.
     """
     words = [check_word(w, matrix) for w in words]
     if not arcs:
@@ -196,11 +223,16 @@ def _arc_law(
     invs = [inversion_ids(w, matrix) for w in words]
     vectors = {}
     candidates = {}  # per entry set, shared by the words of one element
+    source, prefixes = -1, []  # the last source word and the ids of its prefixes
+    conjugates = {}  # q -> [q s q^-1 for each generator s, -1 until walked]
 
-    def arc_result(a: int, b: int, pair: GenPair) -> StepResult:
+    def arc_result(a: int, b: int, pair: GenPair, position: int) -> StepResult:
+        nonlocal source, prefixes
+        if a != source:
+            source, prefixes = a, ids.prefixes(words[a])
         try:
-            _, _, s_prime, t_prime, _ = _certificate(
-                words[a], words[b], invs[a], invs[b], pair, ids
+            _, s_prime, t_prime, _ = _certificate(
+                words[a], words[b], invs[a], invs[b], pair, position, prefixes, conjugates, ids
             )
         except AssertionError as exc:
             return StepResult(Verdict.FAIL, f"certificate: {exc}")
@@ -224,7 +256,7 @@ def _arc_law(
         )
         return StepResult(Verdict.FAIL, f"vector mismatch on {mismatched} pair(s)")
 
-    return [arc_result(*arc) for arc in arcs]
+    return [arc_result(*arc[:4]) for arc in arcs]
 
 
 def verify_has_step(
@@ -239,12 +271,13 @@ def verify_has_step(
     computed from its own word.  The vectors are 0/1, kept as supports A
     and B, so this reads: (s', t') in A, (t', s') not in A and
     B = A - {(s', t')} | {(t', s')}.  Raises NotABraidStep when the words
-    do not differ by the stated move.  A failed certificate cross-check is a
+    do not differ by the stated move, the window taken where they first
+    differ.  A failed certificate cross-check is a
     FAIL with details "certificate: <message>"; a conjugation closure that
     hits its cap downgrades the verdict to inconclusive.  Sweep orders
     come from the closure, so no order cap applies.
     """
-    return _arc_law((a, b), [(0, 1, pair)], matrix)[0]
+    return _arc_law((a, b), [(0, 1, pair, _move_position(a, b))], matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,42 +301,40 @@ def fundamental_cycles(graph: BraidGraph) -> list[list[int]]:
     the larger index, which needs no depths.
     """
     n = len(graph.vertices)
-    lookup: dict[tuple[int, int], int] = {}
+    lookup: dict[int, int] = {}  # the first arc u -> v, keyed by u * n + v
     edges: list[tuple[int, int]] = []  # forward arcs u -> v, u < v
     parent = [-1] * n
     for i, arc in enumerate(graph.arcs):
-        key = (arc.source, arc.target)
+        u, v = arc.source, arc.target
+        key = u * n + v
         if key in lookup:
             continue
         lookup[key] = i
-        u, v = key
         if u < v:
-            edges.append(key)
+            edges.append((u, v))
             if parent[v] < 0:
                 parent[v] = u
     if -1 in parent[1:]:
         raise ValueError("graph is not connected")
 
-    cycles: list[list[int]] = []
-    for u, v in edges:
-        cycles.append([lookup[(u, v)], lookup[(v, u)]])
+    cycles = [[lookup[u * n + v], lookup[v * n + u]] for u, v in edges]
     for u, v in edges:
         if parent[v] == u:
             continue
-        # tree paths from v and u up to their common ancestor
-        up_v, up_u = [v], [u]
+        # the arcs from v up to the common ancestor, then down from it to u
+        cycle = [lookup[u * n + v]]
+        down = []
         x, y = v, u
         while x != y:
             if x > y:
-                x = parent[x]
-                up_v.append(x)
+                p = parent[x]
+                cycle.append(lookup[x * n + p])
+                x = p
             else:
-                y = parent[y]
-                up_u.append(y)
-        path = up_v + up_u[:-1][::-1]  # v ... lca ... u
-        cycle = [lookup[(u, v)]]
-        for a, b in zip(path, path[1:]):
-            cycle.append(lookup[(a, b)])
+                p = parent[y]
+                down.append(lookup[p * n + y])
+                y = p
+        cycle += reversed(down)
         cycles.append(cycle)
     return cycles
 
@@ -378,27 +409,36 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
     are caught); the partition supplies the opposite-class involution and
     its exact/provisional status.  A failing check under a provisional
     partition is inconclusive rather than failing.  The checks depend only
-    on a cycle's colour multiset, keyed as its sorted colours, so they are
-    computed once per distinct signature of this graph and partition.
+    on a cycle's colour multiset, keyed as its sorted colours, and on the
+    partition, so they are computed once per distinct signature and
+    partition, and kept on the partition (its signature_rows) for the
+    graphs checked after this one.
     """
     cycles = fundamental_cycles(graph)
+    known = partition.signature_rows
     exact = partition.exact
     op_ids = [op_class(cls.index, partition) for cls in partition.classes]
     colors = [arc.color for arc in graph.arcs]
     index: dict[tuple[int, ...], int] = {}
     signatures: list[tuple[CheckRow, ...]] = []
     cycle_signatures = []
-    for cycle in cycles:
+    for number, cycle in enumerate(cycles):
+        # the report's tuples replace the lists one at a time, so the
+        # cycles are never held twice over
+        cycle = cycles[number] = tuple(cycle)
         key = tuple(sorted([colors[i] for i in cycle]))
         k = index.get(key)
         if k is None:
             k = index[key] = len(signatures)
-            signatures.append(_class_results(Counter(key), op_ids, exact))
+            rows = known.get(key)
+            if rows is None:
+                rows = known[key] = _class_results(Counter(key), op_ids, exact)
+            signatures.append(rows)
         cycle_signatures.append(k)
     return CycleParityReport(
         graph_mode=graph.mode,
         exact_partition=exact,
-        cycles=tuple(tuple(c) for c in cycles),
+        cycles=tuple(cycles),
         signatures=tuple(signatures),
         cycle_signatures=tuple(cycle_signatures),
         verdict=worst(row[-1] for rows in signatures for row in rows),
@@ -406,7 +446,10 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
 
 
 def verify_arc_steps(graph: BraidGraph) -> tuple[Verdict, list[tuple[int, StepResult]]]:
-    """verify_has_step on every arc, each vertex's data built once per call."""
-    arcs = [(arc.source, arc.target, arc.pair) for arc in graph.arcs]
-    results = list(enumerate(_arc_law(graph.vertices, arcs, graph.matrix)))
-    return worst(r.verdict for _, r in results), results
+    """verify_has_step on every arc, at the graph's own move positions.
+
+    Each vertex's data is built once per call.  A position where the arc's
+    words hold no braid window raises NotABraidStep.
+    """
+    results = list(enumerate(_arc_law(graph.vertices, graph.arcs, graph.matrix)))
+    return worst(r.verdict for _, r in results if r is not _PASS), results

@@ -208,3 +208,31 @@ def test_sweeps_stay_lazy():
     matrix = catalog_matrix("I2_200")
     occurrence_vector((0, 1, 0, 1, 0), matrix)
     assert len(element_ids(matrix).sweeps) <= 20
+
+
+def test_standalone_vectors_share_the_last_entry_sets_candidates(monkeypatch):
+    # without a memo, occurrence_vector keeps the candidates of the last
+    # entry set on the element store: over the words of one element they
+    # are collected once, and another element's words replace them
+    import coxlab.inversions
+
+    collected = []
+    real = coxlab.inversions._candidates
+
+    def counted(ids, entries):
+        collected.append(frozenset(entries))
+        return real(ids, entries)
+
+    monkeypatch.setattr(coxlab.inversions, "_candidates", counted)
+    matrix = catalog_matrix("B3")
+    ids = fixed_ids(matrix)
+    elements = enumerate_elements(matrix)
+    for element, runs in ((elements[-1], 1), (elements[-2], 2), (elements[-1], 3)):
+        vertices = reduced_graph(element).vertices
+        assert len(vertices) > 1
+        for word in vertices:
+            expected = reference_occurrence_ids(inversion_ids(word, matrix), matrix)
+            got = occurrence_vector(word, matrix)
+            assert got == {(ids.words[u], ids.words[v]) for u, v in expected}, word
+        assert len(collected) == runs
+    assert len(ids.candidates) == 1

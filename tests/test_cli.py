@@ -119,8 +119,10 @@ def _reference_document(matrix, outcomes):
 
 
 def _streamed_document(matrix, outcomes):
+    # one memo of signature texts for the whole document, as the CLI keeps
     chunks = []
-    pieces = ((v, map(str.encode, element_chunks(head, r))) for v, head, r in outcomes)
+    texts = {}
+    pieces = ((v, map(str.encode, element_chunks(head, r, texts))) for v, head, r in outcomes)
     verdict = write_verify_json(chunks.append, matrix, pieces)
     return b"".join(chunks).decode(), verdict, chunks
 
@@ -175,6 +177,11 @@ def _writer_case(case, monkeypatch):
         return matrix, [(Verdict.FAIL, head, report)]
     word = (1, 0, 1, 3)
     partition = pair_classes(matrix, radius=0 if case == "radius" else None)
+    if case == "shared":
+        # two elements whose reports share signature tables, so the second
+        # is written from the first one's memoized text
+        elements = [reduce_word(w, matrix) for w in (word, (2, 3, 2, 0))]
+        return matrix, [coxlab.cli._verify_one(partition, e) for e in elements]
     element = reduce_word(word, matrix)
     if case == "identity":
         element = identity_element(matrix)
@@ -204,6 +211,7 @@ class TestVerifyWriter:
             ("recoloured", "fail"),
             ("wrong_vectors", "fail"),
             ("hand_built", "fail"),
+            ("shared", "pass"),
         ],
     )
     def test_streamed_document_matches_the_reference(self, monkeypatch, case, verdict):
@@ -211,6 +219,9 @@ class TestVerifyWriter:
         text, got, _ = _streamed_document(matrix, outcomes)
         assert got.value == verdict
         assert text == _reference_document(matrix, outcomes)
+        if case == "shared":
+            first, second = (set(report.signatures) for _, _, report in outcomes)
+            assert len(first & second) >= 2
         element = json.loads(text)["elements"][0]
         if case == "identity":
             assert element["arcs"] == 0 and element["report"]["cycles"] == []

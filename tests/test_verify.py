@@ -209,6 +209,21 @@ class TestVerifyHasStep:
              "certificate: factor endpoints disagree with conjugated generators"),
         ]
 
+    @pytest.mark.parametrize("position", [1, -1, 4], ids=["next", "negative", "past_the_end"])
+    def test_a_wrong_arc_position_is_not_a_braid_step(self, position):
+        # the arc law reads the move position off the arc: an arc whose
+        # words hold no window there is refused, not matched elsewhere
+        graph = reduced_graph(reduce_word((1, 0, 1, 3), A4))
+        assert graph.arcs[0].position == 0 and graph.arcs[0].pair == (0, 1)
+        arcs = list(graph.arcs)
+        arcs[0] = arcs[0]._replace(position=position)
+        moved = BraidGraph(
+            graph.matrix, graph.element, graph.mode, None, graph.vertices, tuple(arcs)
+        )
+        with pytest.raises(NotABraidStep, match=r"no \(0, 1\) braid window"):
+            verify_arc_steps(moved)
+        assert verify_arc_steps(graph)[0] is Verdict.PASS
+
     def test_each_vertex_is_built_once_from_its_own_word(self, monkeypatch):
         import coxlab.verify
         from coxlab.inversions import inversion_ids, occurrence_ids
@@ -525,6 +540,30 @@ def _check_signatures_on(name, seed):
         graph = expression_graph(element, element.length + 2, exact)
         seen[_assert_signatures_match(graph, exact)] += 1
     return seen
+
+
+def test_signature_rows_stay_with_their_partition(monkeypatch):
+    # the rows of a colour multiset are kept per partition: a provisional
+    # copy of the exact partition must rebuild them, and reading a graph
+    # twice under one partition must not
+    import coxlab.verify
+
+    built = []
+
+    def counted(counts, op_ids, exact):
+        built.append(exact)
+        return _class_results(counts, op_ids, exact)
+
+    monkeypatch.setattr(coxlab.verify, "_class_results", counted)
+    exact = pair_classes(A4)
+    graph = reduced_graph(reduce_word((1, 0, 1, 3), A4), exact)
+    recoloured = graph.with_arc_color(0, (graph.arcs[0].color + 1) % len(exact.classes))
+    provisional = _provisional(exact)
+    for partition, verdict in ((exact, Verdict.FAIL), (provisional, Verdict.INCONCLUSIVE)) * 2:
+        assert verify_parity(recoloured, partition).verdict is verdict
+    distinct = len(verify_parity(recoloured, exact).signatures)
+    assert built == [True] * distinct + [False] * distinct
+    assert verify_parity(graph, _provisional(exact)).verdict is Verdict.PASS
 
 
 class TestParitySignatures:
