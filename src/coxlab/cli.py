@@ -234,33 +234,56 @@ def _verify_one(partition, element, source=None):
     return worst((arc_verdict, report.verdict)), head, report
 
 
-# The verify document goes out in blocks of about this many bytes: a
-# reader on a pipe is woken once per block, not once per 8 KB of stdout's
-# buffer, so the verifier does not wait on it between elements.
+# The verify document goes out in blocks of this many bytes: a reader on a
+# pipe is woken once per block, not once per 8 KB of stdout's buffer, so the
+# verifier does not wait on it between elements.
 _VERIFY_BLOCK = 1 << 22
 
 
 class _BlockWriter:
-    """``write`` called with blocks of at least ``size`` bytes."""
+    """Bytes passed on to ``write`` in blocks of exactly ``size`` bytes, the
+    last one (from ``flush``) possibly shorter.
+
+    The bytes go through one block, allocated at the first write, and
+    ``write`` is given views of it, each valid until the next block; so
+    this holds ``size`` bytes, whatever it is given.  Data is copied into
+    the block, except a view that a reader filled in place through
+    ``free``, which is only counted.
+    """
 
     def __init__(self, write, size: int):
         self._write = write
         self._size = size
-        self._pending: list[bytes] = []
-        self._length = 0
+        self._block: memoryview | None = None
+        self._fill = 0
 
-    def write(self, data: bytes) -> None:
-        self._pending.append(data)
-        self._length += len(data)
-        if self._length >= self._size:
-            self.flush()
+    def free(self, limit: int) -> memoryview:
+        """A view of the block's next at most ``limit`` unwritten bytes."""
+        if self._block is None:
+            self._block = memoryview(bytearray(self._size))
+        return self._block[self._fill : self._fill + limit]
+
+    def write(self, data) -> None:
+        block = self._block
+        if isinstance(data, memoryview) and block is not None and data.obj is block.obj:
+            self._advance(len(data))  # filled in place, at self._fill
+            return
+        data = memoryview(data)
+        while data:
+            room = self.free(len(data))
+            room[:] = data[: len(room)]
+            data = data[len(room) :]
+            self._advance(len(room))
+
+    def _advance(self, count: int) -> None:
+        self._fill += count
+        if self._fill == self._size:
+            self._fill = 0
+            self._write(self._block)
 
     def flush(self) -> None:
-        if self._pending:
-            # the pieces go before the write, which may wait on the reader
-            block = b"".join(self._pending)
-            self._pending.clear()
-            self._length = 0
+        if self._fill:
+            block, self._fill = self._block[: self._fill], 0
             self._write(block)
 
 
@@ -273,18 +296,19 @@ _FRAME = struct.Struct("<cQ")
 _PIPE_SIZE = 1 << 20
 
 
-def _verify_outcomes(partition, elements, workers: int):
+def _verify_outcomes(partition, elements, workers: int, out: _BlockWriter):
     """``(verdict, chunks)`` per element, in element order.
 
     With more than one worker and element, and ``os.fork``, the elements
     are verified in n = min(workers, elements) processes as ``_plan``
-    deals them out and streamed back; otherwise they are verified here.
-    Either way the chunks are those of ``element_chunks``, encoded, with
-    one memo of signature texts per process.
+    deals them out and streamed back, read straight into ``out``'s block;
+    otherwise they are verified here.  Either way the chunks are those of
+    ``element_chunks``, encoded, with one memo of signature texts per
+    process, and each is to be written before the next is asked for.
     """
     workers = min(workers, len(elements))
     if workers > 1 and hasattr(os, "fork"):
-        yield from _forked_outcomes(partition, elements, workers)
+        yield from _forked_outcomes(partition, elements, workers, out)
         return
     texts = {}
     for element, source in elements:
@@ -323,16 +347,28 @@ def _plan(counts: list[int], workers: int) -> list[list[int]]:
     return plans
 
 
+def _send(pipe: int, kind: bytes, payload: bytes = b"") -> None:
+    """One frame on ``pipe``, its header and payload in one ``os.writev``."""
+    header = _FRAME.pack(kind, len(payload))
+    sent = os.writev(pipe, (header, payload))
+    if sent < len(header) + len(payload):  # a signal cut the write short
+        rest = memoryview(header + payload)[sent:]
+        while rest:
+            rest = rest[os.write(pipe, rest) :]
+
+
 def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int]):
     """Verify the elements of ``plan`` in its order, send them in element order
     as frames on ``pipe``; never returns.
 
-    An element verified before one with a smaller index in the plan is held
-    as ``(verdict, head, report)``, or as its traceback, until its turn;
-    a traceback ends the worker once it is sent.  The worker first closes
-    the ``inherited`` read ends, so that each pipe reaches EOF when its own
-    worker ends and a write fails once the parent is gone, and points stdout
-    at /dev/null: the parent's stdout is not its to write.
+    Each frame goes to the pipe as it is made, with no buffer in between,
+    so a worker holds one chunk of text at a time.  An element verified
+    before one with a smaller index in the plan is held as ``(verdict,
+    head, report)``, or as its traceback, until its turn; a traceback ends
+    the worker once it is sent.  The worker first closes the ``inherited``
+    read ends, so that each pipe reaches EOF when its own worker ends and a
+    write fails once the parent is gone, and points stdout at /dev/null:
+    the parent's stdout is not its to write.
     """
     status = 1
     try:
@@ -341,47 +377,45 @@ def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, 1)
         os.close(null)
-        with open(pipe, "wb", buffering=_PIPE_SIZE) as out:
-            def send(kind: bytes, payload: bytes = b"") -> None:
-                out.write(_FRAME.pack(kind, len(payload)))
-                out.write(payload)
-
-            due = sorted(plan)
-            sent = 0
-            held = {}
-            texts = {}
-            for index in plan:
-                try:
-                    held[index] = _verify_one(partition, *elements[index])
-                except Exception:  # the parent reports it at this element's turn
-                    held[index] = traceback.format_exc().rstrip("\n")
-                while sent < len(due) and due[sent] in held:
-                    outcome = held.pop(due[sent])
-                    sent += 1
-                    if isinstance(outcome, str):
-                        send(b"X", outcome.encode())
-                        return
-                    verdict, head, report = outcome
-                    del outcome
-                    send(b"V", verdict.value.encode())
-                    for chunk in element_chunks(head, report, texts):
-                        send(b"C", chunk.encode())
-                    send(b"E")
-                    out.flush()
-                    del head, report
-            status = 0
+        due = sorted(plan)
+        sent = 0
+        held = {}
+        texts = {}
+        for index in plan:
+            try:
+                held[index] = _verify_one(partition, *elements[index])
+            except Exception:  # the parent reports it at this element's turn
+                held[index] = traceback.format_exc().rstrip("\n")
+            while sent < len(due) and due[sent] in held:
+                outcome = held.pop(due[sent])
+                sent += 1
+                if isinstance(outcome, str):
+                    _send(pipe, b"X", outcome.encode())
+                    return
+                verdict, head, report = outcome
+                del outcome
+                _send(pipe, b"V", verdict.value.encode())
+                for chunk in element_chunks(head, report, texts):
+                    _send(pipe, b"C", chunk.encode())
+                _send(pipe, b"E")
+                del head, report
+        status = 0
     finally:
         os._exit(status)  # no atexit handler, finalizer or stdio flush here
 
 
-def _forked_outcomes(partition, elements, workers: int):
+def _forked_outcomes(partition, elements, workers: int, out: _BlockWriter):
     """``_verify_outcomes`` from ``workers`` forked processes.
 
     The plan is ``_plan`` of the elements' reduced-word counts, and the
-    pipes are read in element order.  A worker's exception is raised here
-    as a ``WorkerError`` at that element's turn, as is a worker that ended
-    without finishing its element; after any error or interrupt the
-    workers left are killed.  Every worker is reaped.
+    pipes are read in element order.  Each chunk is read straight into
+    ``out``'s block, which is allocated at its first write, after the
+    workers are forked, and yielded as views of it; so this process holds
+    the one block and no copy of a chunk.  A worker's exception is raised
+    here as a ``WorkerError`` at that element's turn, as is a worker that
+    ended without finishing its element, after what it sent of it; after
+    any error or interrupt the workers left are killed.  Every worker is
+    reaped.
     """
     import fcntl  # POSIX, as os.fork is
     import signal
@@ -396,15 +430,7 @@ def _forked_outcomes(partition, elements, workers: int):
     readers = []
     finished = False
 
-    def frame(k: int, index: int) -> tuple[bytes, bytes]:
-        header = readers[k].read(_FRAME.size)
-        if len(header) == _FRAME.size:
-            kind, size = _FRAME.unpack(header)
-            payload = readers[k].read(size)
-            if len(payload) == size:
-                if kind == b"X":
-                    raise WorkerError(payload.decode())
-                return kind, payload
+    def ended(k: int, index: int):
         pid, pids[k] = pids[k], None
         _, status = os.waitpid(pid, 0)
         code = os.waitstatus_to_exitcode(status)
@@ -413,12 +439,31 @@ def _forked_outcomes(partition, elements, workers: int):
             f"verify worker {k} (pid {pid}) ended before element {index} was complete: {how}"
         )
 
+    def read(k: int, index: int, size: int) -> bytes:
+        data = readers[k].read(size)
+        if len(data) < size:
+            ended(k, index)
+        return data
+
+    def frame(k: int, index: int) -> tuple[bytes, int]:
+        """The next frame's kind and payload size; a b"X" frame is raised."""
+        kind, size = _FRAME.unpack(read(k, index, _FRAME.size))
+        if kind == b"X":
+            raise WorkerError(read(k, index, size).decode())
+        return kind, size
+
     def chunks(k: int, index: int):
         while True:
-            kind, payload = frame(k, index)
+            kind, size = frame(k, index)
             if kind == b"E":
                 return
-            yield payload
+            while size:
+                view = out.free(size)
+                count = readers[k].readinto(view)
+                if not count:
+                    ended(k, index)
+                yield view[:count]
+                size -= count
 
     try:
         for k, plan in enumerate(plans):
@@ -439,8 +484,8 @@ def _forked_outcomes(partition, elements, workers: int):
                 os.close(write_end)
             pids.append(pid)
         for index, k in enumerate(owner):
-            _, verdict = frame(k, index)
-            yield Verdict(verdict.decode()), chunks(k, index)
+            _, size = frame(k, index)
+            yield Verdict(read(k, index, size).decode()), chunks(k, index)
         finished = True
     finally:
         for reader in readers:
@@ -472,9 +517,9 @@ def cmd_verify(args) -> int:
         elements = [(e, None) for e in listed]
     # one worker per CPU this process may run on, so `taskset` bounds them
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    outcomes = _verify_outcomes(partition, elements, cpus)
     sys.stdout.flush()  # the document goes to the bytes under it
     out = _BlockWriter(sys.stdout.buffer.write, _VERIFY_BLOCK)
+    outcomes = _verify_outcomes(partition, elements, cpus, out)
     try:
         verdict = write_verify_json(out.write, matrix, outcomes)
     finally:

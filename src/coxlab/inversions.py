@@ -40,7 +40,7 @@ store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import gt, itemgetter, lt
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .braid_graph import ElementCapExceeded, conjugate_pair_closure
@@ -184,10 +184,10 @@ def occurrence_ids(
             vector |= vu
     for positions, uv, vu in more:
         p = positions(position)
-        if p[0] < p[-1]:
-            if list(p) == sorted(p):
+        if p[0] < p[1]:
+            if all(map(lt, p, p[1:])):
                 vector |= uv
-        elif list(p) == sorted(p, reverse=True):
+        elif all(map(gt, p, p[1:])):
             vector |= vu
     return vector
 

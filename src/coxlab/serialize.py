@@ -317,22 +317,20 @@ def write_verify_json(
     is the element's entry as ``element_chunks`` gives it, encoded.  The
     bytes are ``dump_json`` of ``{"matrix", "elements", "verdict"}`` with
     each report as ``parity_report_to_json`` gives it, encoded (it is
-    ASCII).  Nothing is written until the first element's entry is
-    complete, so an error before then leaves the output empty; later
-    elements are written as they come.
+    ASCII).  Each chunk is written as it comes, so no element is held here:
+    the document's opening is written once the first element's verdict is
+    known, and an error before then leaves the output empty, one after it
+    the part written so far.
     """
     matrix_text = _nested(matrix_to_json(matrix), 1)
-    header = ('{\n  "matrix": ' + matrix_text + ',\n  "elements": [').encode()
-    closing = b"]"
+    separator = ('{\n  "matrix": ' + matrix_text + ',\n  "elements": [\n').encode()
+    closing = separator[:-1] + b"]"  # no elements
     verdict = Verdict.PASS
     for element_verdict, chunks in outcomes:
         verdict = worst((verdict, element_verdict))
-        if header:
-            chunks = [header, b"\n", *chunks]
-            header, closing = b"", b"\n  ]"
-        else:
-            write(b",\n")
+        write(separator)
+        separator, closing = b",\n", b"\n  ]"
         for chunk in chunks:
             write(chunk)
-    write(header + closing + f',\n  "verdict": "{verdict.value}"\n}}\n'.encode())
+    write(closing + f',\n  "verdict": "{verdict.value}"\n}}\n'.encode())
     return verdict

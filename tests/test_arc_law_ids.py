@@ -191,6 +191,37 @@ def test_bitset_vectors_match_the_reference(name):
             assert got == reference_occurrence_ids(inv, matrix), word
 
 
+@pytest.mark.parametrize(
+    "name, max_length, word",
+    [
+        ("B4", 10, None),
+        ("F4", None, (1, 2, 1, 2, 3, 2, 1, 2, 0, 1, 2, 3)),
+        ("I2_65", None, tuple(i % 2 for i in range(65))),
+    ],
+)
+def test_long_sweeps_match_the_reference(name, max_length, word):
+    # sweeps of four entries and more (bonds 4 and 65) are read from their
+    # neighbouring positions: every vertex of B4 up to length 10, of an F4
+    # element and of I2(65)'s longest element; B3 and H3 are every vertex
+    # of test_bitset_vectors_match_the_reference
+    matrix = catalog_matrix(name)
+    ids = fixed_ids(matrix)
+    partition = pair_classes(matrix)
+    if word is None:
+        elements = enumerate_elements(matrix, max_length=max_length)
+    else:
+        elements = [reduce_word(word, matrix)]
+    long_sweeps = 0
+    for element in elements:
+        memo = {}
+        for vertex in reduced_graph(element, partition).vertices:
+            inv = inversion_ids(vertex, matrix)
+            got = occurrence_pairs(occurrence_ids(inv, matrix, memo), ids)
+            assert got == reference_occurrence_ids(inv, matrix), vertex
+        long_sweeps += sum(len(more) for _, _, more in memo.values())
+    assert long_sweeps > 0
+
+
 def test_bitset_vector_past_the_order_cap():
     # I2(65): one sweep of 65 entries, more than the default order cap
     matrix = catalog_matrix("I2_65")

@@ -123,7 +123,8 @@ def _streamed_document(matrix, outcomes):
     chunks = []
     texts = {}
     pieces = ((v, map(str.encode, element_chunks(head, r, texts))) for v, head, r in outcomes)
-    verdict = write_verify_json(chunks.append, matrix, pieces)
+    # a writer's argument may be a view that the next write reuses: keep a copy
+    verdict = write_verify_json(lambda chunk: chunks.append(bytes(chunk)), matrix, pieces)
     return b"".join(chunks).decode(), verdict, chunks
 
 
@@ -242,6 +243,49 @@ class TestVerifyWriter:
         assert verdict.value == "pass"
         assert text == _reference_document(matrix, [])
 
+    def test_the_first_element_is_not_held(self):
+        # its first chunk is written before its second is made
+        from coxlab.verify import Verdict
+
+        writes, seen = [], []
+
+        def chunks():
+            yield b"first"
+            seen.append(b"".join(writes))
+            yield b"second"
+
+        matrix = catalog_matrix("A2")
+        write_verify_json(lambda b: writes.append(bytes(b)), matrix, [(Verdict.PASS, chunks())])
+        assert seen[0].startswith(b'{\n  "matrix": ') and seen[0].endswith(b"[\nfirst")
+
+    def test_the_block_writer_writes_whole_blocks(self):
+        # odd pieces of 10 MB + 1 byte in all go out as 4 MB, 4 MB and the
+        # rest, through a block that the first write allocates
+        import random
+        import tracemalloc
+
+        from coxlab.cli import _BlockWriter
+
+        block = 4 << 20
+        data = random.Random(0).randbytes(10 * (1 << 20) + 1)
+        writes = []
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = _BlockWriter(lambda b: writes.append(bytes(b)), block)
+            assert tracemalloc.get_traced_memory()[0] - start < 1 << 16
+            sizes = [1, 999_983, 7, block + 3, 65_537]
+            offset = k = 0
+            while offset < len(data):
+                out.write(data[offset : offset + sizes[k % len(sizes)]])
+                offset += sizes[k % len(sizes)]
+                k += 1
+        finally:
+            tracemalloc.stop()
+        out.flush()
+        assert [len(w) for w in writes] == [block, block, len(data) - 2 * block]
+        assert b"".join(writes) == data
+
     def test_a_long_element_is_written_in_chunks(self):
         # H3's longest element has 995 basis cycles: more than one chunk
         import coxlab.cli
@@ -317,7 +361,9 @@ class TestVerifyWorkers:
         [("A3", None), ("B3", None), ("H3", None), ("I2_7", None), ("D4", None), ("B4", 8)],
     )
     def test_worker_counts_give_the_same_document(self, name, max_length):
-        from coxlab.cli import _verify_outcomes
+        # through blocks of 4 096 bytes, so that many chunks read from the
+        # workers straddle two blocks
+        from coxlab.cli import _BlockWriter, _verify_outcomes
 
         matrix = catalog_matrix(name)
         partition = pair_classes(matrix)
@@ -325,13 +371,15 @@ class TestVerifyWorkers:
         runs = []
         for workers in (1, 2, 3, 4):
             digest, verdicts = hashlib.sha256(), []
+            out = _BlockWriter(digest.update, 4096)
 
             def recorded():
-                for verdict, chunks in _verify_outcomes(partition, elements, workers):
+                for verdict, chunks in _verify_outcomes(partition, elements, workers, out):
                     verdicts.append(verdict)
                     yield verdict, chunks
 
-            verdict = write_verify_json(digest.update, matrix, recorded())
+            verdict = write_verify_json(out.write, matrix, recorded())
+            out.flush()
             runs.append((digest.hexdigest(), verdict, verdicts))
         assert len(runs[0][2]) == len(elements)
         assert all(run == runs[0] for run in runs[1:])
@@ -370,6 +418,40 @@ class TestVerifyWorkers:
     def test_a_failing_w0_leaves_the_serial_prefix(self, monkeypatch, capsys, how):
         # A3's w0, element 23, is dealt before elements 20-22
         _check_failing_element(monkeypatch, capsys, how, 23)
+
+    @pytest.mark.parametrize("cpus, how", [(1, "raise"), (2, "raise"), (2, "sigkill")])
+    def test_a_failure_inside_the_first_element_leaves_its_text(
+        self, monkeypatch, capsys, cpus, how
+    ):
+        # the first element is not held: once its first chunk is written, an
+        # error or a dead worker leaves the document's opening and that chunk
+        import coxlab.cli
+
+        args = ["verify", "--type", "A3", "--all-elements"]
+        document = _main(monkeypatch, capsys, args, cpus=1)[1]
+        real = coxlab.cli.element_chunks
+
+        def failing(head, report, texts):
+            chunks = real(head, report, texts)
+            yield next(chunks)
+            if head["element"]["length"] == 0:
+                if how == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("cannot write the report")
+            yield from chunks
+
+        monkeypatch.setattr(coxlab.cli, "element_chunks", failing)
+        code, out, err = _main(monkeypatch, capsys, args, cpus)
+        assert code == 4
+        assert document.startswith(out) and out.endswith('"cycles": [')
+        assert out.count('"element": {') == 1
+        if cpus == 1:
+            assert "ValueError: cannot write the report" in err
+        else:
+            signal_or_status = "killed by signal 9" if how == "sigkill" else "exit status 1"
+            assert f"ended before element 0 was complete: {signal_or_status}" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_held_element_waits_for_its_turn(self, monkeypatch, capsys):
         # with w0 verified first, its worker holds it, or its traceback,
@@ -816,8 +898,9 @@ class TestCliCommands:
         assert document.startswith(captured.out)
 
     def test_verify_writes_whole_blocks(self, monkeypatch, capsys):
-        # every write but the last holds at least one block; the bytes are
-        # those of a single block, from this process and from two workers
+        # every write but the last is one whole block; the bytes are those of
+        # a single block, from this process and from two workers.  A write's
+        # argument is a view of the block the next write reuses: keep a copy
         import coxlab.cli
 
         args = ["verify", "--type", "A3", "--all-elements"]
@@ -825,14 +908,14 @@ class TestCliCommands:
         document = capsys.readouterr().out
         writes = []
         monkeypatch.setattr(coxlab.cli, "_VERIFY_BLOCK", 4096)
-        monkeypatch.setattr(sys.stdout.buffer, "write", writes.append)
+        monkeypatch.setattr(sys.stdout.buffer, "write", lambda b: writes.append(bytes(b)))
         for cpus in (1, 2):
             writes.clear()
             _set_cpus(monkeypatch, cpus)
             assert coxlab.cli.main(args) == 0
             assert b"".join(writes) == document.encode()
             assert len(writes) > 2
-            assert all(len(w) >= 4096 for w in writes[:-1])
+            assert all(len(w) == 4096 for w in writes[:-1])
             assert 0 < len(writes[-1])
 
     @pytest.mark.slow
@@ -858,6 +941,43 @@ class TestCliCommands:
             "970fb157ad72044f06c11ce29b78e1f720f47c2154d4391733a3baf50891793d"
         )
         assert usage.ru_maxrss < 1024 * 1024
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+    def test_b4_longest_element_streams_in_process(self, tmp_path):
+        # one element of 216 127 909 bytes, verified and written in process:
+        # it is streamed, not held.  The wrapper reports its own VmHWM, as
+        # ru_maxrss of a child may carry the high-water mark of its spawner
+        wrapper = (
+            "import sys\n"
+            "from coxlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "with open('/proc/self/status') as status:\n"
+            "    sys.stderr.write(next(l for l in status if l.startswith('VmHWM:')))\n"
+            "sys.exit(code)\n"
+        )
+        word = "1 2 1 2 3 2 1 2 3 4 3 2 1 2 3 4"
+        with open(tmp_path / "stderr.txt", "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", wrapper, "verify", "--type", "B4", "--word", word],
+                stdout=subprocess.PIPE, stderr=stderr,
+            )
+            digest = hashlib.sha256()
+            size = 0
+            for block in iter(lambda: proc.stdout.read(1 << 20), b""):
+                digest.update(block)
+                size += len(block)
+            proc.stdout.close()
+            proc.wait()
+        err = (tmp_path / "stderr.txt").read_text()
+        assert proc.returncode == 0, err
+        assert size == 216127909
+        assert digest.hexdigest() == (
+            "ec21c3aeb8bab7d0794b0c6069220e46e10993bbee17b7e73d2fe7661da35f64"
+        )
+        hwm_kb = int(re.search(r"^VmHWM:\s+(\d+) kB$", err, re.M).group(1))
+        assert hwm_kb * 1024 < 160e6
 
     def test_verdict_exit_mapping(self):
         from coxlab.cli import (
