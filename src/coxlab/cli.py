@@ -244,11 +244,9 @@ class _BlockWriter:
     """Bytes passed on to ``write`` in blocks of exactly ``size`` bytes, the
     last one (from ``flush``) possibly shorter.
 
-    The bytes go through one block, allocated at the first write, and
-    ``write`` is given views of it, each valid until the next block; so
-    this holds ``size`` bytes, whatever it is given.  Data is copied into
-    the block, except a view that a reader filled in place through
-    ``free``, which is only counted.
+    Every write is copied into one block, allocated at the first write,
+    and ``write`` is given views of it, each valid until the next block;
+    so this holds ``size`` bytes, whatever it is given.
     """
 
     def __init__(self, write, size: int):
@@ -257,29 +255,18 @@ class _BlockWriter:
         self._block: memoryview | None = None
         self._fill = 0
 
-    def free(self, limit: int) -> memoryview:
-        """A view of the block's next at most ``limit`` unwritten bytes."""
+    def write(self, data) -> None:
         if self._block is None:
             self._block = memoryview(bytearray(self._size))
-        return self._block[self._fill : self._fill + limit]
-
-    def write(self, data) -> None:
-        block = self._block
-        if isinstance(data, memoryview) and block is not None and data.obj is block.obj:
-            self._advance(len(data))  # filled in place, at self._fill
-            return
         data = memoryview(data)
         while data:
-            room = self.free(len(data))
-            room[:] = data[: len(room)]
-            data = data[len(room) :]
-            self._advance(len(room))
-
-    def _advance(self, count: int) -> None:
-        self._fill += count
-        if self._fill == self._size:
-            self._fill = 0
-            self._write(self._block)
+            count = min(len(data), self._size - self._fill)
+            self._block[self._fill : self._fill + count] = data[:count]
+            data = data[count:]
+            self._fill += count
+            if self._fill == self._size:
+                self._fill = 0
+                self._write(self._block)
 
     def flush(self) -> None:
         if self._fill:
@@ -294,28 +281,54 @@ _FRAME = struct.Struct("<cQ")
 # Each worker's pipe holds this much: with the default 64 KiB the parent
 # and the workers take turns on every 64 KiB, and nothing overlaps.
 _PIPE_SIZE = 1 << 20
+# The parent reads the workers' chunks through a buffer of this many bytes,
+# then copies them into the output block.
+_RELAY_BUFFER = 1 << 16
 
 
-def _verify_outcomes(partition, elements, workers: int, out: _BlockWriter):
+def _outcomes(partition, elements, order):
+    """``(verdict, chunks)`` per element of ``order``, in element order.
+
+    The elements are verified in ``order``.  One verified before an element
+    with a smaller index is held until its turn as ``(verdict, head,
+    report)``, or as the exception it raised, with that exception's frames
+    cleared so that no graph stays alive; the exception is raised at its
+    turn.  The chunks are those of ``element_chunks``, encoded, with one
+    memo of signature texts for all the elements, and each is to be written
+    before the next is asked for.
+    """
+    due = iter(sorted(order))
+    turn = next(due, None)
+    held = {}
+    texts = {}
+    for index in order:
+        try:
+            held[index] = _verify_one(partition, *elements[index])
+        except Exception as exc:
+            traceback.clear_frames(exc.__traceback__)
+            held[index] = exc
+        while turn in held:
+            outcome = held.pop(turn)
+            turn = next(due, None)
+            if isinstance(outcome, Exception):
+                raise outcome
+            verdict, head, report = outcome
+            del outcome
+            yield verdict, map(str.encode, element_chunks(head, report, texts))
+            del head, report  # so the next element is computed without this one
+
+
+def _verify_outcomes(partition, elements, workers: int):
     """``(verdict, chunks)`` per element, in element order.
 
     With more than one worker and element, and ``os.fork``, the elements
-    are verified in n = min(workers, elements) processes as ``_plan``
-    deals them out and streamed back, read straight into ``out``'s block;
-    otherwise they are verified here.  Either way the chunks are those of
-    ``element_chunks``, encoded, with one memo of signature texts per
-    process, and each is to be written before the next is asked for.
+    are verified in n = min(workers, elements) processes
+    (``_forked_outcomes``); otherwise here, as ``_outcomes`` in index order.
     """
     workers = min(workers, len(elements))
     if workers > 1 and hasattr(os, "fork"):
-        yield from _forked_outcomes(partition, elements, workers, out)
-        return
-    texts = {}
-    for element, source in elements:
-        verdict, head, report = _verify_one(partition, element, source)
-        chunks = map(str.encode, element_chunks(head, report, texts))
-        del head, report  # so the next element is computed without this one
-        yield verdict, chunks
+        return _forked_outcomes(partition, elements, workers)
+    return _outcomes(partition, elements, range(len(elements)))
 
 
 def _plan(counts: list[int], workers: int) -> list[list[int]]:
@@ -358,17 +371,15 @@ def _send(pipe: int, kind: bytes, payload: bytes = b"") -> None:
 
 
 def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int]):
-    """Verify the elements of ``plan`` in its order, send them in element order
-    as frames on ``pipe``; never returns.
+    """Send ``_outcomes`` of ``plan`` as frames on ``pipe``; never returns.
 
     Each frame goes to the pipe as it is made, with no buffer in between,
-    so a worker holds one chunk of text at a time.  An element verified
-    before one with a smaller index in the plan is held as ``(verdict,
-    head, report)``, or as its traceback, until its turn; a traceback ends
-    the worker once it is sent.  The worker first closes the ``inherited``
-    read ends, so that each pipe reaches EOF when its own worker ends and a
-    write fails once the parent is gone, and points stdout at /dev/null:
-    the parent's stdout is not its to write.
+    so a worker holds one chunk of text at a time.  An exception, from
+    verifying an element or from writing its text, is sent as a b"X" frame
+    with its traceback and ends the worker.  The worker first closes the
+    ``inherited`` read ends, so that each pipe reaches EOF when its own
+    worker ends and a write fails once the parent is gone, and points
+    stdout at /dev/null: the parent's stdout is not its to write.
     """
     status = 1
     try:
@@ -377,45 +388,31 @@ def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, 1)
         os.close(null)
-        due = sorted(plan)
-        sent = 0
-        held = {}
-        texts = {}
-        for index in plan:
-            try:
-                held[index] = _verify_one(partition, *elements[index])
-            except Exception:  # the parent reports it at this element's turn
-                held[index] = traceback.format_exc().rstrip("\n")
-            while sent < len(due) and due[sent] in held:
-                outcome = held.pop(due[sent])
-                sent += 1
-                if isinstance(outcome, str):
-                    _send(pipe, b"X", outcome.encode())
-                    return
-                verdict, head, report = outcome
-                del outcome
+        try:
+            for verdict, chunks in _outcomes(partition, elements, plan):
                 _send(pipe, b"V", verdict.value.encode())
-                for chunk in element_chunks(head, report, texts):
-                    _send(pipe, b"C", chunk.encode())
+                for chunk in chunks:
+                    _send(pipe, b"C", chunk)
                 _send(pipe, b"E")
-                del head, report
-        status = 0
+        except Exception:  # the parent reports it at this element's turn
+            _send(pipe, b"X", traceback.format_exc().rstrip("\n").encode())
+        else:
+            status = 0
     finally:
         os._exit(status)  # no atexit handler, finalizer or stdio flush here
 
 
-def _forked_outcomes(partition, elements, workers: int, out: _BlockWriter):
+def _forked_outcomes(partition, elements, workers: int):
     """``_verify_outcomes`` from ``workers`` forked processes.
 
     The plan is ``_plan`` of the elements' reduced-word counts, and the
-    pipes are read in element order.  Each chunk is read straight into
-    ``out``'s block, which is allocated at its first write, after the
-    workers are forked, and yielded as views of it; so this process holds
-    the one block and no copy of a chunk.  A worker's exception is raised
-    here as a ``WorkerError`` at that element's turn, as is a worker that
-    ended without finishing its element, after what it sent of it; after
-    any error or interrupt the workers left are killed.  Every worker is
-    reaped.
+    pipes are read in element order.  Each chunk is read through one buffer
+    of ``_RELAY_BUFFER`` bytes, allocated after the workers are forked, and
+    yielded as views of it, each valid until the next is asked for.  A
+    worker's exception is raised here as a ``WorkerError`` at that
+    element's turn, as is a worker that ended without finishing its
+    element, after what it sent of it; after any error or interrupt the
+    workers left are killed.  Every worker is reaped.
     """
     import fcntl  # POSIX, as os.fork is
     import signal
@@ -458,11 +455,10 @@ def _forked_outcomes(partition, elements, workers: int, out: _BlockWriter):
             if kind == b"E":
                 return
             while size:
-                view = out.free(size)
-                count = readers[k].readinto(view)
+                count = readers[k].readinto(buffer[:size])
                 if not count:
                     ended(k, index)
-                yield view[:count]
+                yield buffer[:count]
                 size -= count
 
     try:
@@ -483,6 +479,7 @@ def _forked_outcomes(partition, elements, workers: int, out: _BlockWriter):
             finally:
                 os.close(write_end)
             pids.append(pid)
+        buffer = memoryview(bytearray(_RELAY_BUFFER))
         for index, k in enumerate(owner):
             _, size = frame(k, index)
             yield Verdict(read(k, index, size).decode()), chunks(k, index)
@@ -519,7 +516,7 @@ def cmd_verify(args) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     sys.stdout.flush()  # the document goes to the bytes under it
     out = _BlockWriter(sys.stdout.buffer.write, _VERIFY_BLOCK)
-    outcomes = _verify_outcomes(partition, elements, cpus, out)
+    outcomes = _verify_outcomes(partition, elements, cpus)
     try:
         verdict = write_verify_json(out.write, matrix, outcomes)
     finally:

@@ -551,7 +551,8 @@ class ElementIds:
     ids of its dihedral sweep; `sweep_words` keeps the
     DihedralReflectionWord wrappers handed out by dihedral_reflection_word;
     `candidates` holds the occurrence-vector candidates of the last entry
-    set a standalone inversions.occurrence_ids call asked for, at most one.
+    set inversions.occurrence_ids was asked for, at most one, for every
+    caller.
     """
 
     __slots__ = (

@@ -15,15 +15,16 @@ over the closure pairs, numbered once per element store
 (braid_graph.conjugate_pair_closure).  A pair (u, v) can be in the support
 only if its whole sweep lies among the word's inversion entries, since a
 sweep starts with u and ends with v and a reduced word's entries are
-distinct.  Those candidates depend on the entry set alone, so a caller
-that checks many words of one element (the arc law) collects them once
-and passes the memo along; standalone calls share one slot on the element
-store, which keeps the last entry set's candidates.  A sweep is walked
-only when both of its endpoints are entries of the word, so a large
-dihedral group walks only the sweeps of its few entries.  As the entries are distinct, the sweep of
-(u, v) is a subword iff its entries sit at increasing positions, and the
-sweep of (v, u), its reversal, iff they sit at decreasing ones: one look
-at the positions decides both bits.
+distinct.  Those candidates depend on the entry set alone, which all
+reduced words of one element share, so one slot on the element store
+keeps the last entry set's candidates for every caller: a run over the
+words of one element, the arc law's or another, collects them once.  A
+sweep is walked only when both of its endpoints are entries of the word,
+so a large dihedral group walks only the sweeps of its few entries.  As
+the entries are distinct, the sweep of (u, v) is a subword iff its
+entries sit at increasing positions, and the sweep of (v, u), its
+reversal, iff they sit at decreasing ones: one look at the positions
+decides both bits.
 
 The work runs on the matrix's element ids (core.ElementIds):
 inversion_ids and occurrence_ids are what the arc law calls, and their
@@ -141,18 +142,15 @@ def _candidates(ids: ElementIds, entries: Sequence[int]) -> Candidates:
     return two, three, more
 
 
-def occurrence_ids(
-    inv: InversionIds, matrix: CoxeterMatrix, memo: dict[frozenset[int], Candidates] | None = None
-) -> int:
+def occurrence_ids(inv: InversionIds, matrix: CoxeterMatrix) -> int:
     """Occurrence vector of the reduced word inv.source, as an int bitset.
 
     Bit b is set iff the closure pair (u, v) numbered b has its sweep as a
     subword of inv; occurrence_pairs reads the bits back.  A candidate's
     sweep has the order m of its generator pair, read from the closure, so
-    no order search or order cap is involved.  memo, if given, keeps the
-    candidates per entry set across calls; without it the element store
-    keeps those of the last entry set asked for (ElementIds.candidates), so
-    calls over the words of one element collect them once.  The vector
+    no order search or order cap is involved.  The element store keeps
+    the candidates of the last entry set asked for (ElementIds.candidates),
+    so calls over the words of one element collect them once.  The vector
     itself is read off this word's own entry positions on every call.  inv
     must use ids taken after fixed_ids.  Raises ValueError when the word is
     not reduced, and ElementCapExceeded when the conjugation closure cannot
@@ -163,13 +161,11 @@ def occurrence_ids(
         raise ValueError("occurrence_vector requires a reduced word")
     entries = inv.entries
     key = frozenset(entries)
-    if memo is None:
-        memo = ids.candidates
-        if key not in memo:
-            memo.clear()  # one entry set at a time
+    memo = ids.candidates
     found = memo.get(key)
     if found is None:
         conjugate_pair_closure(matrix)  # or its memoized ElementCapExceeded
+        memo.clear()  # one entry set at a time
         found = memo[key] = _candidates(ids, entries)
     two, three, more = found
     position = {x: i for i, x in enumerate(entries)}

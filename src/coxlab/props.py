@@ -1,9 +1,13 @@
 """Randomized property suites: the `props` command and the helpers only it uses.
 
 property_harness samples words and conjugators and checks the sweep,
-inversion-word and occurrence laws with Tits-based products (multiply,
-conjugate, powers), not with the element-id fast paths the arc law runs
-on: it is the randomized cross-check of those paths.
+inversion-word and occurrence laws.  Its products (multiply, conjugate)
+walk the same element store (core.ElementIds) as the arc law; what is
+independent is where the expectations come from: products, powers,
+subgroup closure and a subword-counting dynamic program, rather than
+sweep_ids or the occurrence-vector candidates (inversions._candidates).
+The store itself is checked against brute-force oracles in the test
+suite (tests/oracles.py).
 """
 
 from __future__ import annotations

@@ -212,8 +212,9 @@ def _arc_law(
     word's prefixes are walked when its first arc comes up and kept until
     an arc from another source, so arcs listed by source, as a graph lists
     them, walk each source once; each q s q^-1 is walked once per (q, s)
-    (_certificate).  These, and the candidate pairs collected once per
-    entry set, are dropped when the call returns.  Only a failing arc reads
+    (_certificate).  These are dropped when the call returns; the
+    candidate pairs, collected once per entry set, stay in the element
+    store's one slot (ElementIds.candidates).  Only a failing arc reads
     its two vectors back as pairs, to count the mismatches.
     """
     words = [check_word(w, matrix) for w in words]
@@ -222,7 +223,6 @@ def _arc_law(
     ids = fixed_ids(matrix)
     invs = [inversion_ids(w, matrix) for w in words]
     vectors = {}
-    candidates = {}  # per entry set, shared by the words of one element
     source, prefixes = -1, []  # the last source word and the ids of its prefixes
     conjugates = {}  # q -> [q s q^-1 for each generator s, -1 until walked]
 
@@ -239,7 +239,7 @@ def _arc_law(
         try:
             for i in (a, b):
                 if i not in vectors:
-                    vectors[i] = occurrence_ids(invs[i], matrix, candidates)
+                    vectors[i] = occurrence_ids(invs[i], matrix)
         except CapExceededError as exc:
             return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
         va, vb = vectors[a], vectors[b]
@@ -294,22 +294,21 @@ def fundamental_cycles(graph: BraidGraph) -> list[list[int]]:
     must be numbered in BFS discovery order with the arcs listed by source,
     as reduced_graph, expression_graph and with_arc_color keep them: then
     the first arc u -> v with u < v is the one that discovered v, so one
-    pass over the arcs reads off the tree the graph was built along.  A
-    vertex v > 0 with no arc from an earlier vertex raises ValueError.
-    So every tree parent has a smaller index than its child, and the walk
-    to a non-tree edge's common ancestor steps up from whichever end has
-    the larger index, which needs no depths.
+    pass over the arcs reads off the tree the graph was built along.  So
+    every tree parent has a smaller index than its child, and the walk to a
+    non-tree edge's common ancestor steps up from whichever end has the
+    larger index, which needs no depths.  There is at most one arc u -> v:
+    a move's result first differs from its source at the move's position,
+    and at most one move starts at a position.  A vertex v > 0 with no arc
+    from an earlier vertex raises ValueError.
     """
     n = len(graph.vertices)
-    lookup: dict[int, int] = {}  # the first arc u -> v, keyed by u * n + v
+    lookup: dict[int, int] = {}  # the arc u -> v, keyed by u * n + v
     edges: list[tuple[int, int]] = []  # forward arcs u -> v, u < v
     parent = [-1] * n
     for i, arc in enumerate(graph.arcs):
         u, v = arc.source, arc.target
-        key = u * n + v
-        if key in lookup:
-            continue
-        lookup[key] = i
+        lookup[u * n + v] = i
         if u < v:
             edges.append((u, v))
             if parent[v] < 0:

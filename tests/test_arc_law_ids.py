@@ -179,15 +179,15 @@ def test_classes_and_enumeration_make_no_ids():
 )
 def test_bitset_vectors_match_the_reference(name):
     # the decoded bitset equals the former frozenset vector on every
-    # vertex, with the candidates memoized per graph as the arc law does
+    # vertex, with the candidates in the element store's one slot, as the
+    # arc law keeps them
     matrix = catalog_matrix(name)
     ids = fixed_ids(matrix)
     partition = pair_classes(matrix)
     for element in enumerate_elements(matrix):
-        memo = {}
         for word in reduced_graph(element, partition).vertices:
             inv = inversion_ids(word, matrix)
-            got = occurrence_pairs(occurrence_ids(inv, matrix, memo), ids)
+            got = occurrence_pairs(occurrence_ids(inv, matrix), ids)
             assert got == reference_occurrence_ids(inv, matrix), word
 
 
@@ -213,12 +213,11 @@ def test_long_sweeps_match_the_reference(name, max_length, word):
         elements = [reduce_word(word, matrix)]
     long_sweeps = 0
     for element in elements:
-        memo = {}
         for vertex in reduced_graph(element, partition).vertices:
             inv = inversion_ids(vertex, matrix)
-            got = occurrence_pairs(occurrence_ids(inv, matrix, memo), ids)
+            got = occurrence_pairs(occurrence_ids(inv, matrix), ids)
             assert got == reference_occurrence_ids(inv, matrix), vertex
-        long_sweeps += sum(len(more) for _, _, more in memo.values())
+        long_sweeps += sum(len(more) for _, _, more in ids.candidates.values())
     assert long_sweeps > 0
 
 
@@ -242,9 +241,9 @@ def test_sweeps_stay_lazy():
 
 
 def test_standalone_vectors_share_the_last_entry_sets_candidates(monkeypatch):
-    # without a memo, occurrence_vector keeps the candidates of the last
-    # entry set on the element store: over the words of one element they
-    # are collected once, and another element's words replace them
+    # occurrence_vector keeps the candidates of the last entry set on the
+    # element store: over the words of one element they are collected
+    # once, and another element's words replace them
     import coxlab.inversions
 
     collected = []

@@ -359,6 +359,22 @@ class TestFundamentalCycles:
             expected = 2 * edges - len(g.vertices) + 1 if g.vertices else 0
             assert len(fundamental_cycles(g)) == max(expected, 0)
 
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "I2_7", "D4"])
+    def test_at_most_one_arc_per_ordered_pair(self, name):
+        # a move's result first differs from its source at the move's
+        # position, and at most one move starts at a position, so no two
+        # arcs share (source, target): the cycle basis keys arcs by it
+        matrix = catalog_matrix(name)
+        partition = pair_classes(matrix)
+        graphs = [reduced_graph(e, partition) for e in enumerate_elements(matrix)]
+        if name == "A4":
+            padded = expression_graph(reduce_word((1, 0, 1, 3), matrix), 6, partition)
+            assert padded.arcs
+            graphs.append(padded)
+        for g in graphs:
+            ends = [(arc.source, arc.target) for arc in g.arcs]
+            assert len(set(ends)) == len(ends), g.element
+
 
 class TestCyclesMatchTheReference:
     """The basis read off the discovery tree equals the second-BFS basis."""
