@@ -234,24 +234,29 @@ def _verify_one(partition, element, source=None):
     return worst((arc_verdict, report.verdict)), head, report
 
 
-# The verify document goes out in blocks of this many bytes: a reader on a
-# pipe is woken once per block, not once per 8 KB of stdout's buffer, so the
-# verifier does not wait on it between elements.
+# The verify document goes out in blocks of up to this many bytes: one
+# write call per 4 MB, and a verifying process that does not stop for the
+# reader between elements.  The first block has only _FIRST_BLOCK bytes and
+# each next one twice the last, so the first elements reach the reader early.
 _VERIFY_BLOCK = 1 << 22
+_FIRST_BLOCK = 1 << 16
 
 
 class _BlockWriter:
-    """Bytes passed on to ``write`` in blocks of exactly ``size`` bytes, the
-    last one (from ``flush``) possibly shorter.
+    """Bytes passed on to ``write`` in whole blocks, the last one (from
+    ``flush``) possibly shorter.  The first block has ``_FIRST_BLOCK``
+    bytes, or ``size`` if that is less; each next one twice the last, up
+    to ``size`` bytes, the size of every block after that.
 
-    Every write is copied into one block, allocated at the first write,
-    and ``write`` is given views of it, each valid until the next block;
-    so this holds ``size`` bytes, whatever it is given.
+    Every write is copied into one block of ``size`` bytes, allocated at
+    the first write, and ``write`` is given views of it, each valid until
+    the next block; so this holds ``size`` bytes, whatever it is given.
     """
 
     def __init__(self, write, size: int):
         self._write = write
         self._size = size
+        self._limit = min(_FIRST_BLOCK, size)
         self._block: memoryview | None = None
         self._fill = 0
 
@@ -260,13 +265,14 @@ class _BlockWriter:
             self._block = memoryview(bytearray(self._size))
         data = memoryview(data)
         while data:
-            count = min(len(data), self._size - self._fill)
+            count = min(len(data), self._limit - self._fill)
             self._block[self._fill : self._fill + count] = data[:count]
             data = data[count:]
             self._fill += count
-            if self._fill == self._size:
+            if self._fill == self._limit:
                 self._fill = 0
-                self._write(self._block)
+                self._write(self._block[: self._limit])
+                self._limit = min(2 * self._limit, self._size)
 
     def flush(self) -> None:
         if self._fill:

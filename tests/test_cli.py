@@ -259,32 +259,38 @@ class TestVerifyWriter:
         assert seen[0].startswith(b'{\n  "matrix": ') and seen[0].endswith(b"[\nfirst")
 
     def test_the_block_writer_writes_whole_blocks(self):
-        # odd pieces of 10 MB + 1 byte in all go out as 4 MB, 4 MB and the
-        # rest, through a block that the first write allocates
+        # odd pieces of 10 MB + 1 byte in all, through one block that the
+        # first write allocates: with 4 MB blocks they go out as 64 KiB,
+        # 128 KiB, ..., 4 MB (8 323 072 bytes) and the rest; at 64 KiB or
+        # less there is no ramp, only whole blocks
         import random
         import tracemalloc
 
         from coxlab.cli import _BlockWriter
 
-        block = 4 << 20
         data = random.Random(0).randbytes(10 * (1 << 20) + 1)
-        writes = []
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            out = _BlockWriter(lambda b: writes.append(bytes(b)), block)
-            assert tracemalloc.get_traced_memory()[0] - start < 1 << 16
-            sizes = [1, 999_983, 7, block + 3, 65_537]
-            offset = k = 0
-            while offset < len(data):
-                out.write(data[offset : offset + sizes[k % len(sizes)]])
-                offset += sizes[k % len(sizes)]
-                k += 1
-        finally:
-            tracemalloc.stop()
-        out.flush()
-        assert [len(w) for w in writes] == [block, block, len(data) - 2 * block]
-        assert b"".join(writes) == data
+        pieces = [1, 999_983, 7, (4 << 20) + 3, 65_537]
+        for block, sizes in [
+            (4 << 20, [(1 << 16) << k for k in range(7)] + [2_162_689]),
+            (1 << 16, [1 << 16] * 160 + [1]),
+            (4096, [4096] * 2560 + [1]),
+        ]:
+            writes = []
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out = _BlockWriter(lambda b: writes.append(bytes(b)), block)
+                assert tracemalloc.get_traced_memory()[0] - start < 1 << 16
+                offset = k = 0
+                while offset < len(data):
+                    out.write(data[offset : offset + pieces[k % len(pieces)]])
+                    offset += pieces[k % len(pieces)]
+                    k += 1
+            finally:
+                tracemalloc.stop()
+            out.flush()
+            assert [len(w) for w in writes] == sizes
+            assert b"".join(writes) == data
 
     def test_a_long_element_is_written_in_chunks(self):
         # H3's longest element has 995 basis cycles: more than one chunk
@@ -861,6 +867,36 @@ class TestCliCommands:
             "456b2429bd7e61c176ca79c26653da6d0a71270f7835db8fc7ccbaef2ec1859b"
         )
 
+    def test_radius_does_not_reach_the_arc_law(self, tmp_path):
+        # --radius bounds the cycle law's partition only: the arc law needs
+        # the exact closure, which does not finish on affine A2, so every
+        # arc is inconclusive while every cycle-law report passes
+        path = tmp_path / "affine_a2.txt"
+        path.write_text(MATRIX_FILES["affine_a2.txt"])
+        result = run_cli(
+            "verify", "--matrix", str(path), "--all-elements",
+            "--max-length", "3", "--radius", "1",
+        )
+        assert result.returncode == 2
+        document = json.loads(result.stdout)
+        assert document["verdict"] == "inconclusive"
+        elements = document["elements"]
+        assert len(elements) == 19
+        capped = {
+            tuple(e["element"]["canonical"]): e["arc_checks"]
+            for e in elements if e["arcs"]
+        }
+        assert sorted(capped) == [(1, 2, 1), (1, 3, 1), (2, 3, 2)]
+        for checks in capped.values():
+            assert checks["checked"] == 2
+            assert [f["verdict"] for f in checks["failures"]] == ["inconclusive"] * 2
+            assert {f["details"] for f in checks["failures"]} == {
+                "cap exceeded: conjugates exceed length 24; orbit looks infinite"
+            }
+        for e in elements:
+            assert e["report"]["verdict"] == "pass"
+            assert e["report"]["exact_partition"] is False
+
     def test_internal_error_exits_four(self, monkeypatch, capsys):
         import coxlab.cli
 
@@ -917,6 +953,48 @@ class TestCliCommands:
             assert len(writes) > 2
             assert all(len(w) == 4096 for w in writes[:-1])
             assert 0 < len(writes[-1])
+
+    def test_verify_ramps_its_blocks_up(self, monkeypatch, capsys):
+        # with 1 MiB blocks: 64, 128, 256 and 512 KiB, then whole blocks of
+        # 1 MiB, and the bytes of a single block, in process and in workers
+        import coxlab.cli
+
+        args = ["verify", "--type", "A4", "--all-elements"]
+        assert coxlab.cli.main(args) == 0
+        document = capsys.readouterr().out.encode()
+        block = 1 << 20
+        ramp = [64 << 10, 128 << 10, 256 << 10, 512 << 10]
+        whole, rest = divmod(len(document) - sum(ramp), block)
+        assert whole > 1 and rest
+        writes = []
+        monkeypatch.setattr(coxlab.cli, "_VERIFY_BLOCK", block)
+        monkeypatch.setattr(sys.stdout.buffer, "write", lambda b: writes.append(bytes(b)))
+        for cpus in (1, 2):
+            writes.clear()
+            _set_cpus(monkeypatch, cpus)
+            assert coxlab.cli.main(args) == 0
+            assert b"".join(writes) == document
+            assert [len(w) for w in writes] == ramp + [block] * whole + [rest]
+
+    def test_verify_writes_before_the_fiftieth_element(self, monkeypatch, capsys):
+        # D4 in process: the first 64 KiB block is full after 45 of its 192
+        # elements, so the document starts long before the first 4 MB are
+        # written
+        import coxlab.cli
+
+        verified, writes = [], []  # elements verified at each write
+        real = coxlab.cli._verify_one
+
+        def counted(partition, element, source=None):
+            verified.append(element)
+            return real(partition, element, source)
+
+        monkeypatch.setattr(coxlab.cli, "_verify_one", counted)
+        monkeypatch.setattr(sys.stdout.buffer, "write", lambda b: writes.append(len(verified)))
+        _set_cpus(monkeypatch, 1)
+        assert coxlab.cli.main(["verify", "--type", "D4", "--all-elements"]) == 0
+        assert len(verified) == 192
+        assert writes[0] < 50
 
     @pytest.mark.slow
     def test_b4_all_elements_streams_under_one_gigabyte(self, tmp_path):
