@@ -14,10 +14,13 @@ depend only on the multiset of its arc colours (its signature) and on the
 partition, so they are computed once per signature and partition and kept
 on the partition, not once per cycle or per graph.
 
+One function, _arc_step, checks the arc law on one arc: verify_has_step
+calls it once, and verify_arc_steps in one loop over the graph's arcs.
 Each arc-law quantity is computed once, at the scope it depends on, for
-one verify_arc_steps call: a vertex's inversion word and occurrence vector
-once per vertex, the ids of a source vertex's prefixes once per source,
-each q s q^-1 once per (q, s); the move position comes with the arc.
+one verify_arc_steps call: a vertex's inversion word once, its occurrence
+vector when an arc first needs it, the ids of a source vertex's prefixes
+once per source (arcs come listed by source), each q s q^-1 once per
+(q, s); the move position comes with the arc.
 
 Verdicts are three-valued: a failure that rests on a provisional class
 partition or on a capped conjugation closure is reported as inconclusive,
@@ -199,64 +202,47 @@ class StepResult:
 _PASS = StepResult(Verdict.PASS)  # shared by every passing arc
 
 
-def _arc_law(
-    words: Sequence[Sequence[int]],
-    arcs: Sequence[Sequence],
-    matrix: CoxeterMatrix,
-) -> list[StepResult]:
-    """verify_has_step on arcs between words: Arcs, or (source, target, pair, position).
+def _arc_step(
+    words: Sequence[Word], invs: Sequence[InversionIds], vectors: dict[int, int], a: int,
+    b: int, pair: GenPair, position: int, prefixes: Sequence[int],
+    conjugates: dict[int, list[int]], ids: ElementIds,
+) -> StepResult:
+    """verify_has_step on ids, for the move at position from vertex a to vertex b.
 
-    Runs on element ids.  Each word's inversion word and occurrence vector
-    are built at most once, from that word alone, never by moving along an
-    arc; the vectors are int bitsets (inversions.occurrence_ids).  A source
-    word's prefixes are walked when its first arc comes up and kept until
-    an arc from another source, so arcs listed by source, as a graph lists
-    them, walk each source once; each q s q^-1 is walked once per (q, s)
-    (_certificate).  These are dropped when the call returns; the
-    candidate pairs, collected once per entry set, stay in the element
-    store's one slot (ElementIds.candidates).  Only a failing arc reads
-    its two vectors back as pairs, to count the mismatches.
+    words, invs and vectors are keyed by vertex: vertex i's word, its
+    inversion word, and its occurrence vector, an int bitset built from
+    invs[i] the first time an arc needs it, never by moving along an arc.
+    prefixes, conjugates and ids are as in _certificate, with prefixes
+    those of a's word.  The certificate comes before the vectors, so a
+    failing certificate is a FAIL even where the closure is capped.  Only
+    a failing arc reads its two vectors back as pairs, to count the
+    mismatches.
     """
-    words = [check_word(w, matrix) for w in words]
-    if not arcs:
-        return []  # no vector is needed, so the closure is not tried
-    ids = fixed_ids(matrix)
-    invs = [inversion_ids(w, matrix) for w in words]
-    vectors = {}
-    source, prefixes = -1, []  # the last source word and the ids of its prefixes
-    conjugates = {}  # q -> [q s q^-1 for each generator s, -1 until walked]
-
-    def arc_result(a: int, b: int, pair: GenPair, position: int) -> StepResult:
-        nonlocal source, prefixes
-        if a != source:
-            source, prefixes = a, ids.prefixes(words[a])
-        try:
-            _, s_prime, t_prime, _ = _certificate(
-                words[a], words[b], invs[a], invs[b], pair, position, prefixes, conjugates, ids
-            )
-        except AssertionError as exc:
-            return StepResult(Verdict.FAIL, f"certificate: {exc}")
-        try:
-            for i in (a, b):
-                if i not in vectors:
-                    vectors[i] = occurrence_ids(invs[i], matrix)
-        except CapExceededError as exc:
-            return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
-        va, vb = vectors[a], vectors[b]
-        partners = ids.closure
-        st = 1 << partners[s_prime][t_prime]
-        ts = 1 << partners[t_prime][s_prime]
-        if va & st and not va & ts and vb == va ^ st ^ ts:
-            return _PASS
-        # pairs where vector(b) differs from vector(a) - (s', t') + (t', s')
-        va, vb = occurrence_pairs(va, ids), occurrence_pairs(vb, ids)
-        st, ts = (s_prime, t_prime), (t_prime, s_prime)
-        mismatched = sum(
-            (k in vb) != (k in va) - (k == st) + (k == ts) for k in va | vb | {st, ts}
+    try:
+        _, s_prime, t_prime, _ = _certificate(
+            words[a], words[b], invs[a], invs[b], pair, position, prefixes, conjugates, ids
         )
-        return StepResult(Verdict.FAIL, f"vector mismatch on {mismatched} pair(s)")
-
-    return [arc_result(*arc[:4]) for arc in arcs]
+    except AssertionError as exc:
+        return StepResult(Verdict.FAIL, f"certificate: {exc}")
+    try:
+        for i in (a, b):
+            if i not in vectors:
+                vectors[i] = occurrence_ids(invs[i], ids.matrix)
+    except CapExceededError as exc:
+        return StepResult(Verdict.INCONCLUSIVE, f"cap exceeded: {exc}")
+    va, vb = vectors[a], vectors[b]
+    partners = ids.closure
+    st = 1 << partners[s_prime][t_prime]
+    ts = 1 << partners[t_prime][s_prime]
+    if va & st and not va & ts and vb == va ^ st ^ ts:
+        return _PASS
+    # pairs where vector(b) differs from vector(a) - (s', t') + (t', s')
+    va, vb = occurrence_pairs(va, ids), occurrence_pairs(vb, ids)
+    st, ts = (s_prime, t_prime), (t_prime, s_prime)
+    mismatched = sum(
+        (k in vb) != (k in va) - (k == st) + (k == ts) for k in va | vb | {st, ts}
+    )
+    return StepResult(Verdict.FAIL, f"vector mismatch on {mismatched} pair(s)")
 
 
 def verify_has_step(
@@ -272,12 +258,17 @@ def verify_has_step(
     and B, so this reads: (s', t') in A, (t', s') not in A and
     B = A - {(s', t')} | {(t', s')}.  Raises NotABraidStep when the words
     do not differ by the stated move, the window taken where they first
-    differ.  A failed certificate cross-check is a
-    FAIL with details "certificate: <message>"; a conjugation closure that
-    hits its cap downgrades the verdict to inconclusive.  Sweep orders
-    come from the closure, so no order cap applies.
+    differ, and ValueError when a word is not reduced.  A failed
+    certificate cross-check is a FAIL with details "certificate:
+    <message>"; a conjugation closure that hits its cap downgrades the
+    verdict to inconclusive.  Sweep orders come from the closure, so no
+    order cap applies.
     """
-    return _arc_law((a, b), [(0, 1, pair, _move_position(a, b))], matrix)[0]
+    words = check_word(a, matrix), check_word(b, matrix)
+    ids = fixed_ids(matrix)
+    invs = [inversion_ids(w, matrix) for w in words]
+    position = _move_position(*words)
+    return _arc_step(words, invs, {}, 0, 1, pair, position, ids.prefixes(words[0]), {}, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +438,22 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
 def verify_arc_steps(graph: BraidGraph) -> tuple[Verdict, list[tuple[int, StepResult]]]:
     """verify_has_step on every arc, at the graph's own move positions.
 
-    Each vertex's data is built once per call.  A position where the arc's
-    words hold no braid window raises NotABraidStep.
+    A position where the arc's words hold no braid window raises
+    NotABraidStep, and a word that is not reduced raises ValueError.
     """
-    results = list(enumerate(_arc_law(graph.vertices, graph.arcs, graph.matrix)))
+    matrix = graph.matrix
+    words = [check_word(w, matrix) for w in graph.vertices]
+    if not graph.arcs:
+        return Verdict.PASS, []  # no vector is needed, so the closure is not tried
+    ids = fixed_ids(matrix)
+    invs = [inversion_ids(w, matrix) for w in words]
+    vectors: dict[int, int] = {}
+    conjugates: dict[int, list[int]] = {}  # q -> [q s q^-1 per generator s, -1 until walked]
+    source, prefixes = -1, []  # the last source and the ids of its word's prefixes
+    results = []
+    for i, (a, b, pair, position, _) in enumerate(graph.arcs):
+        if a != source:
+            source, prefixes = a, ids.prefixes(words[a])
+        result = _arc_step(words, invs, vectors, a, b, pair, position, prefixes, conjugates, ids)
+        results.append((i, result))
     return worst(r.verdict for _, r in results if r is not _PASS), results

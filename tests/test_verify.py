@@ -24,7 +24,7 @@ from coxlab import (
 )
 from coxlab.braid_graph import Arc, BraidGraph, PairClassPartition, op_class
 from coxlab.core import alternating_word, identity_element
-from coxlab.verify import CycleClassCheck, _class_results, worst
+from coxlab.verify import CycleClassCheck, StepResult, _class_results, worst
 from oracles import random_closed_walk, reference_cycles, walk_parity_verdict
 
 A2 = catalog_matrix("A2")
@@ -185,6 +185,24 @@ class TestVerifyHasStep:
             "certificate: braid move did not reverse the inversion-word factor"
         )
 
+    def test_certificate_failure_comes_before_a_capped_closure(self, monkeypatch):
+        # the certificate needs no closure, so on a group whose closure is
+        # capped a failing certificate is a FAIL, not inconclusive
+        import coxlab.verify
+        from coxlab.inversions import inversion_ids
+
+        m = validate_matrix([[1, 3, float("inf")], [3, 1, 3], [float("inf"), 3, 1]])
+        a, b = (0, 1, 0), (1, 0, 1)
+        assert verify_has_step(a, b, (0, 1), m).verdict is Verdict.INCONCLUSIVE
+
+        def unreversed(word, matrix):
+            return inversion_ids(a if tuple(word) == b else word, matrix)
+
+        monkeypatch.setattr(coxlab.verify, "inversion_ids", unreversed)
+        assert verify_has_step(a, b, (0, 1), m) == StepResult(
+            Verdict.FAIL, "certificate: braid move did not reverse the inversion-word factor"
+        )
+
     def test_graph_certificate_failure_is_a_fail_verdict(self, monkeypatch):
         # the per-graph path must still check b against b's own inversion
         # word: here b's comes back as a's, which breaks both arcs
@@ -297,6 +315,78 @@ class TestVerifyHasStep:
             "vector mismatch on 10 pair(s)": 2,
             "vector mismatch on 14 pair(s)": 2,
         }
+
+    @staticmethod
+    def _both_paths(graph):
+        """Each arc's result from verify_arc_steps and from verify_has_step."""
+        _, results = verify_arc_steps(graph)
+        words = graph.vertices
+        return [
+            (result, verify_has_step(words[arc.source], words[arc.target], arc.pair, graph.matrix))
+            for arc, (_, result) in zip(graph.arcs, results)
+        ]
+
+    def test_both_entry_points_agree_arc_for_arc(self):
+        # verify_has_step finds each arc's own position where its words
+        # first differ, and runs the same arc step as verify_arc_steps
+        arcs = 0
+        for name in ("A3", "B3", "H3", "I2_7", "A4"):
+            matrix = catalog_matrix(name)
+            partition = pair_classes(matrix)
+            for element in enumerate_elements(matrix):
+                for graph_result, step_result in self._both_paths(
+                    reduced_graph(element, partition)
+                ):
+                    assert step_result == graph_result
+                    arcs += 1
+        assert arcs == 17194
+
+    def test_both_entry_points_agree_on_failures(self, monkeypatch):
+        # the wrong_vectors control: each vertex gets its reversed word's
+        # vector, so arcs fail, with the same details on both paths
+        import coxlab.verify
+        from coxlab.inversions import inversion_ids, occurrence_ids
+
+        def wrong_vector(inv, matrix, *rest):
+            return occurrence_ids(inversion_ids(inv.source[::-1], matrix), matrix, *rest)
+
+        monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
+        details = Counter()
+        for element in enumerate_elements(A3):
+            for graph_result, step_result in self._both_paths(reduced_graph(element)):
+                assert step_result == graph_result
+                details[graph_result.verdict] += 1
+        assert details[Verdict.FAIL] > 0
+
+    def test_both_entry_points_agree_on_a_capped_closure(self):
+        # affine A2: the exact closure cannot finish, so every arc is
+        # inconclusive on both paths, whatever the partition's radius
+        matrix = validate_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+        partition = pair_classes(matrix, radius=1)
+        pairs = [
+            pair
+            for element in enumerate_elements(matrix, max_length=3)
+            for pair in self._both_paths(reduced_graph(element, partition))
+        ]
+        assert len(pairs) == 6
+        capped = StepResult(
+            Verdict.INCONCLUSIVE,
+            "cap exceeded: conjugates exceed length 24; orbit looks infinite",
+        )
+        assert pairs == [(capped, capped)] * 6
+
+    def test_the_arc_law_needs_reduced_words(self):
+        # an expression graph past the element's length holds words that
+        # are not reduced, whose occurrence vectors are undefined
+        with pytest.raises(ValueError, match="reduced word"):
+            verify_arc_steps(expression_graph(reduce_word((0, 1), A3), 4))
+        with pytest.raises(ValueError, match="reduced word"):
+            verify_has_step((0, 0, 1, 0), (0, 1, 0, 1), (0, 1), A3)
+        # at the element's own length every word is reduced
+        element = reduce_word((0, 1, 0, 2, 1, 0), A3)
+        graph = expression_graph(element, element.length)
+        verdict, results = verify_arc_steps(graph)
+        assert verdict is Verdict.PASS and len(results) == len(graph.arcs) == 36
 
     @pytest.mark.slow
     def test_every_arc_of_the_b4_longest_element(self):
