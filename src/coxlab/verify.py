@@ -15,12 +15,11 @@ partition, so they are computed once per signature and partition and kept
 on the partition, not once per cycle or per graph.
 
 One function, _arc_step, checks the arc law on one arc: verify_has_step
-calls it once, and verify_arc_steps in one loop over the graph's arcs.
-Each arc-law quantity is computed once, at the scope it depends on, for
-one verify_arc_steps call: a vertex's inversion word once, its occurrence
-vector when an arc first needs it, the ids of a source vertex's prefixes
-once per source (arcs come listed by source), each q s q^-1 once per
-(q, s); the move position comes with the arc.
+calls it once, and verify_arc_steps in one loop over a graph's arcs, in
+which each arc-law quantity is computed once, at the scope it depends on:
+a vertex's inversion word once, its occurrence vector when an arc first
+needs it, a source vertex's prefix ids once per source, each q s q^-1
+once per (q, s); the move position comes with the arc.
 
 Verdicts are three-valued: a failure that rests on a provisional class
 partition or on a capped conjugation closure is reported as inconclusive,
@@ -209,14 +208,13 @@ def _arc_step(
 ) -> StepResult:
     """verify_has_step on ids, for the move at position from vertex a to vertex b.
 
-    words, invs and vectors are keyed by vertex: vertex i's word, its
-    inversion word, and its occurrence vector, an int bitset built from
-    invs[i] the first time an arc needs it, never by moving along an arc.
-    prefixes, conjugates and ids are as in _certificate, with prefixes
-    those of a's word.  The certificate comes before the vectors, so a
-    failing certificate is a FAIL even where the closure is capped.  Only
-    a failing arc reads its two vectors back as pairs, to count the
-    mismatches.
+    words, invs and vectors are keyed by vertex: its word, its inversion
+    word and its occurrence vector, an int bitset built from invs[i] when
+    an arc first needs it, never by moving along an arc.  prefixes (those
+    of a's word), conjugates and ids are as in _certificate.  The
+    certificate comes before the vectors, so a failing certificate is a
+    FAIL even where the closure is capped.  Only a failing arc reads its
+    two vectors back as pairs, to count the mismatches.
     """
     try:
         _, s_prime, t_prime, _ = _certificate(
@@ -450,10 +448,11 @@ def verify_arc_steps(graph: BraidGraph) -> tuple[Verdict, list[tuple[int, StepRe
     vectors: dict[int, int] = {}
     conjugates: dict[int, list[int]] = {}  # q -> [q s q^-1 per generator s, -1 until walked]
     source, prefixes = -1, []  # the last source and the ids of its word's prefixes
-    results = []
-    for i, (a, b, pair, position, _) in enumerate(graph.arcs):
+    steps = []
+    for a, b, pair, position, _ in graph.arcs:
         if a != source:
             source, prefixes = a, ids.prefixes(words[a])
-        result = _arc_step(words, invs, vectors, a, b, pair, position, prefixes, conjugates, ids)
-        results.append((i, result))
-    return worst(r.verdict for _, r in results if r is not _PASS), results
+        step = _arc_step(words, invs, vectors, a, b, pair, position, prefixes, conjugates, ids)
+        steps.append(step)
+    del invs, vectors, conjugates, prefixes  # so the numbered results never peak with them
+    return worst(r.verdict for r in steps if r is not _PASS), list(enumerate(steps))

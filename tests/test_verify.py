@@ -351,12 +351,12 @@ class TestVerifyHasStep:
             return occurrence_ids(inversion_ids(inv.source[::-1], matrix), matrix, *rest)
 
         monkeypatch.setattr(coxlab.verify, "occurrence_ids", wrong_vector)
-        details = Counter()
+        verdicts = Counter()
         for element in enumerate_elements(A3):
             for graph_result, step_result in self._both_paths(reduced_graph(element)):
                 assert step_result == graph_result
-                details[graph_result.verdict] += 1
-        assert details[Verdict.FAIL] > 0
+                verdicts[graph_result.verdict] += 1
+        assert verdicts[Verdict.FAIL] > 0
 
     def test_both_entry_points_agree_on_a_capped_closure(self):
         # affine A2: the exact closure cannot finish, so every arc is
