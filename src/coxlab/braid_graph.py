@@ -341,7 +341,7 @@ def _bfs_graph(
     index: dict[Word, int] = {seed: 0}
     vertices: list[Word] = [seed]
     arcs: list[Arc] = []
-    colors: dict[GenPair, int] = {}  # partition.class_of, once per pair
+    colors: dict[GenPair, tuple[GenPair, int]] = {}  # the pair's first tuple, its class
     cursor = 0
     while cursor < len(vertices):
         w = vertices[cursor]
@@ -351,9 +351,10 @@ def _bfs_graph(
                 j = len(vertices)
                 index[target] = j
                 vertices.append(target)
-            color = colors.get(pair)
-            if color is None:
-                color = colors[pair] = partition.class_of(pair)
+            hit = colors.get(pair)
+            if hit is None:
+                hit = colors[pair] = pair, partition.class_of(pair)
+            pair, color = hit
             arcs.append(Arc(cursor, j, pair, position, color))
         cursor += 1
     return BraidGraph(

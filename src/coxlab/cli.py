@@ -221,16 +221,20 @@ def cmd_graph(args) -> int:
 
 
 def _verify_one(partition, element, source=None):
-    """(verdict, the element's keys before "report", its parity report)."""
+    """(verdict, the element's keys before "report", its parity report).
+
+    Holds the graph, then the arc results or the cycle basis, never both.
+    """
     graph = reduced_graph(element, partition)
     arc_verdict, results = verify_arc_steps(graph)
-    report = verify_parity(graph, partition)
     head = {
         "element": element_to_json(element, source=source),
         "vertices": len(graph.vertices),
         "arcs": len(graph.arcs),
         "arc_checks": step_results_to_json(results),
     }
+    del results
+    report = verify_parity(graph, partition)
     return worst((arc_verdict, report.verdict)), head, report
 
 

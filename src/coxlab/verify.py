@@ -28,9 +28,11 @@ never as a counterexample.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .braid_graph import (
@@ -276,54 +278,63 @@ def verify_has_step(
 def fundamental_cycles(graph: BraidGraph) -> list[list[int]]:
     """Basis of the directed cycle space, as lists of arc indices.
 
-    One 2-cycle per undirected edge (the paired forward/backward arcs)
-    plus, for each non-tree edge of the BFS spanning tree, the long cycle it
-    closes.  Traversing an arc backwards is realized by its paired reverse
-    arc, which exists because braid moves are reversible.  The vertices
-    must be numbered in BFS discovery order with the arcs listed by source,
-    as reduced_graph, expression_graph and with_arc_color keep them: then
-    the first arc u -> v with u < v is the one that discovered v, so one
-    pass over the arcs reads off the tree the graph was built along.  So
-    every tree parent has a smaller index than its child, and the walk to a
-    non-tree edge's common ancestor steps up from whichever end has the
-    larger index, which needs no depths.  There is at most one arc u -> v:
-    a move's result first differs from its source at the move's position,
-    and at most one move starts at a position.  A vertex v > 0 with no arc
-    from an earlier vertex raises ValueError.
+    One 2-cycle per undirected edge (an arc and its reverse: braid moves are
+    reversible) plus, for each non-tree edge of the BFS spanning tree, the
+    long cycle it closes.  The vertices must be numbered in BFS discovery
+    order and the arcs grouped by source in vertex order, each group in
+    position order, as reduced_graph, expression_graph and with_arc_color
+    keep them.  Then the first arc u -> v with u < v discovered v, so one
+    pass reads off the tree: each parent has a smaller index than its
+    child, and the walk to a common ancestor steps up from the larger end.
+    The reverse of u -> v is the move from v at the same position, where at
+    most one move starts, found by bisection in v's group; so besides the
+    cycles only the tree arc into each vertex and the arc back to its parent
+    are kept.  A vertex v > 0 with no arc from an earlier vertex, an arc
+    with no reverse and sources out of order raise ValueError.
     """
+    arcs = graph.arcs
     n = len(graph.vertices)
-    lookup: dict[int, int] = {}  # the arc u -> v, keyed by u * n + v
-    edges: list[tuple[int, int]] = []  # forward arcs u -> v, u < v
-    parent = [-1] * n
-    for i, arc in enumerate(graph.arcs):
-        u, v = arc.source, arc.target
-        lookup[u * n + v] = i
-        if u < v:
-            edges.append((u, v))
-            if parent[v] < 0:
-                parent[v] = u
-    if -1 in parent[1:]:
+    position_of = attrgetter("position")
+    starts = [len(arcs)] * (n + 1)  # the arcs from v are arcs[starts[v]:starts[v + 1]]
+    into = [-1] * n  # the tree arc into each vertex
+    last = -1
+    for i, (u, v, _, _, _) in enumerate(arcs):
+        if u != last:
+            if u < last:
+                raise ValueError(f"arc {i} is out of source order")
+            starts[last + 1 : u + 1] = [i] * (u - last)
+            last = u
+        if u < v and into[v] < 0:
+            into[v] = i
+    if -1 in into[1:]:
         raise ValueError("graph is not connected")
 
-    cycles = [[lookup[u * n + v], lookup[v * n + u]] for u, v in edges]
-    for u, v in edges:
-        if parent[v] == u:
+    up = [-1] * n  # the arc from each vertex back to its tree parent
+    cycles, long_cycles = [], []
+    for i, (u, v, _, position, _) in enumerate(arcs):
+        if u > v:
             continue
-        # the arcs from v up to the common ancestor, then down from it to u
-        cycle = [lookup[u * n + v]]
+        j = bisect_left(arcs, position, starts[v], starts[v + 1], key=position_of)
+        if j == starts[v + 1] or arcs[j].target != u:
+            raise ValueError(f"arc {i} has no reverse arc")
+        cycles.append([i, j])
+        if into[v] == i:
+            up[v] = j
+            continue
+        # from v up to the common ancestor, then down to u, by tree arcs that come before arc i
+        cycle = [i]
         down = []
         x, y = v, u
         while x != y:
             if x > y:
-                p = parent[x]
-                cycle.append(lookup[x * n + p])
-                x = p
+                cycle.append(up[x])
+                x = arcs[into[x]].source
             else:
-                p = parent[y]
-                down.append(lookup[p * n + y])
-                y = p
+                down.append(into[y])
+                y = arcs[into[y]].source
         cycle += reversed(down)
-        cycles.append(cycle)
+        long_cycles.append(cycle)
+    cycles += long_cycles
     return cycles
 
 
@@ -414,7 +425,11 @@ def verify_parity(graph: BraidGraph, partition: PairClassPartition) -> CyclePari
         # the report's tuples replace the lists one at a time, so the
         # cycles are never held twice over
         cycle = cycles[number] = tuple(cycle)
-        key = tuple(sorted([colors[i] for i in cycle]))
+        if len(cycle) == 2:  # most cycles: a signature with no sort
+            a, b = colors[cycle[0]], colors[cycle[1]]
+            key = (a, b) if a <= b else (b, a)
+        else:
+            key = tuple(sorted([colors[i] for i in cycle]))
         k = index.get(key)
         if k is None:
             k = index[key] = len(signatures)

@@ -138,6 +138,11 @@ class TestReducedGraph:
             for source, target, (s, t), position in arcs:
                 assert (target, source, (t, s), position) in arcs
 
+    def test_arcs_of_a_pair_share_one_pair_tuple(self):
+        for element in enumerate_elements(B3):
+            g = reduced_graph(element)
+            assert len({id(a.pair) for a in g.arcs}) == len({a.pair for a in g.arcs})
+
     def test_strongly_connected(self):
         g = reduced_graph(reduce_word((0, 1, 0, 2, 1, 0), A3))
         out = {i: [] for i in range(len(g.vertices))}

@@ -508,6 +508,19 @@ class TestCyclesMatchTheReference:
             with pytest.raises(ValueError, match="graph is not connected"):
                 cycles_of(broken)
 
+    def test_arc_with_no_reverse_is_rejected(self):
+        # the move 1 -> 0 is dropped, so arc 0 -> 1 has no reverse arc
+        g = reduced_graph(reduce_word((1, 0, 2), A3))
+        broken = dataclasses.replace(g, arcs=g.arcs[:1])
+        with pytest.raises(ValueError, match="arc 0 has no reverse arc"):
+            fundamental_cycles(broken)
+
+    def test_sources_out_of_order_are_rejected(self):
+        g = reduced_graph(reduce_word((1, 0, 1, 3), A4))
+        broken = dataclasses.replace(g, arcs=g.arcs[::-1])
+        with pytest.raises(ValueError, match="out of source order"):
+            fundamental_cycles(broken)
+
 
 class TestTelescoping:
     def test_occurrence_vector_shifts_telescope_around_cycles(self):
