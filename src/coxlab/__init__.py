@@ -43,12 +43,6 @@ from .core import (
     validate_matrix,
 )
 from .inversions import InversionWord, inversion_word, occurrence_vector
-from .props import (
-    occurrence_bit,
-    order_of_product,
-    property_harness,
-    subword_embedding_count,
-)
 from .verify import (
     BraidStepCertificate,
     CycleParityReport,
@@ -63,3 +57,18 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# props serves the `props` command alone, so it is imported at first use
+_PROPS = ("occurrence_bit", "order_of_product", "property_harness", "subword_embedding_count")
+
+
+def __getattr__(name):
+    if name in _PROPS:
+        from . import props
+
+        return getattr(props, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_PROPS])

@@ -31,7 +31,6 @@ from .core import (
     reduced_word_counts,
 )
 from .inversions import inversion_word, occurrence_vector
-from .props import property_harness
 from .serialize import (
     MatrixFileError,
     dump_json,
@@ -238,10 +237,11 @@ def _verify_one(partition, element, source=None):
     return worst((arc_verdict, report.verdict)), head, report
 
 
-# The verify document goes out in blocks of up to this many bytes: one
-# write call per 4 MB, and a verifying process that does not stop for the
-# reader between elements.  The first block has only _FIRST_BLOCK bytes and
-# each next one twice the last, so the first elements reach the reader early.
+# After its first element, the verify document goes out in blocks of up to
+# this many bytes: one write call per 4 MB, and a verifying process that
+# does not stop for the reader between elements.  The first block has only
+# _FIRST_BLOCK bytes and each next one twice the last, so the elements after
+# the first also reach the reader early.
 _VERIFY_BLOCK = 1 << 22
 _FIRST_BLOCK = 1 << 16
 
@@ -255,6 +255,9 @@ class _BlockWriter:
     Every write is copied into one block of ``size`` bytes, allocated at
     the first write, and ``write`` is given views of it, each valid until
     the next block; so this holds ``size`` bytes, whatever it is given.
+    ``bytearray`` fills the block with zeros, so a block allocated before a
+    fork is resident in every forked process: verify writes to this only
+    after its workers are forked.
     """
 
     def __init__(self, write, size: int):
@@ -328,17 +331,18 @@ def _outcomes(partition, elements, order):
             del head, report  # so the next element is computed without this one
 
 
-def _verify_outcomes(partition, elements, workers: int):
-    """``(verdict, chunks)`` per element, in element order.
+def _verify_outcomes(partition, elements, workers: int, start: int):
+    """``(verdict, chunks)`` per element from ``start`` on, in element order.
 
-    With more than one worker and element, and ``os.fork``, the elements
+    With more than one worker and element to verify, and ``os.fork``, they
     are verified in n = min(workers, elements) processes
     (``_forked_outcomes``); otherwise here, as ``_outcomes`` in index order.
+    ``cmd_verify`` writes element 0 before this forks, and starts this at 1.
     """
-    workers = min(workers, len(elements))
+    workers = min(workers, len(elements) - start)
     if workers > 1 and hasattr(os, "fork"):
-        return _forked_outcomes(partition, elements, workers)
-    return _outcomes(partition, elements, range(len(elements)))
+        return _forked_outcomes(partition, elements, workers, start)
+    return _outcomes(partition, elements, range(start, len(elements)))
 
 
 def _plan(counts: list[int], workers: int) -> list[list[int]]:
@@ -412,23 +416,26 @@ def _worker(partition, elements, plan: list[int], pipe: int, inherited: list[int
         os._exit(status)  # no atexit handler, finalizer or stdio flush here
 
 
-def _forked_outcomes(partition, elements, workers: int):
+def _forked_outcomes(partition, elements, workers: int, start: int):
     """``_verify_outcomes`` from ``workers`` forked processes.
 
-    The plan is ``_plan`` of the elements' reduced-word counts, and the
-    pipes are read in element order.  Each chunk is read through one buffer
-    of ``_RELAY_BUFFER`` bytes, allocated after the workers are forked, and
-    yielded as views of it, each valid until the next is asked for.  A
-    worker's exception is raised here as a ``WorkerError`` at that
-    element's turn, as is a worker that ended without finishing its
-    element, after what it sent of it; after any error or interrupt the
-    workers left are killed.  Every worker is reaped.
+    The plan is ``_plan`` of the reduced-word counts of the elements from
+    ``start`` on, and the pipes are read in element order.  Each chunk is
+    read through one buffer of ``_RELAY_BUFFER`` bytes, allocated after the
+    workers are forked, and yielded as views of it, each valid until the
+    next is asked for.  A worker's exception is raised here as a
+    ``WorkerError`` at that element's turn, as is a worker that ended
+    without finishing its element, after what it sent of it; after any
+    error or interrupt the workers left are killed.  Every worker is reaped.
     """
     import fcntl  # POSIX, as os.fork is
     import signal
 
     matrix = elements[0][0].matrix
-    plans = _plan(reduced_word_counts(matrix, [e for e, _ in elements]), workers)
+    # reduced_word_counts needs the whole list, closed under removing a
+    # right descent; only the elements from start on are dealt out
+    counts = reduced_word_counts(matrix, [e for e, _ in elements])[start:]
+    plans = [[start + i for i in plan] for plan in _plan(counts, workers)]
     owner = [0] * len(elements)
     for k, plan in enumerate(plans):
         for index in plan:
@@ -490,7 +497,7 @@ def _forked_outcomes(partition, elements, workers: int):
                 os.close(write_end)
             pids.append(pid)
         buffer = memoryview(bytearray(_RELAY_BUFFER))
-        for index, k in enumerate(owner):
+        for index, k in enumerate(owner[start:], start):
             _, size = frame(k, index)
             yield Verdict(read(k, index, size).decode()), chunks(k, index)
         finished = True
@@ -525,12 +532,25 @@ def cmd_verify(args) -> int:
     # one worker per CPU this process may run on, so `taskset` bounds them
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     sys.stdout.flush()  # the document goes to the bytes under it
-    out = _BlockWriter(sys.stdout.buffer.write, _VERIFY_BLOCK)
-    outcomes = _verify_outcomes(partition, elements, cpus)
+    stdout = sys.stdout.buffer
+    out = _BlockWriter(stdout.write, _VERIFY_BLOCK)
+    write = stdout.write
+
+    def outcomes():
+        # the opening and element 0 reach the reader before any fork; the
+        # rest go through the block, allocated at its first write, after
+        # the fork, so that no worker holds its pages
+        nonlocal write
+        yield from _outcomes(partition, elements, range(1))
+        stdout.flush()
+        write = out.write
+        yield from _verify_outcomes(partition, elements, cpus, 1)
+
+    verified = outcomes()
     try:
-        verdict = write_verify_json(out.write, matrix, outcomes)
+        verdict = write_verify_json(lambda data: write(data), matrix, verified)
     finally:
-        outcomes.close()  # after an error, stops and reaps the workers
+        verified.close()  # after an error, stops and reaps the workers
         out.flush()  # after an error, what was written before it
     return _verdict_exit(verdict)
 
@@ -577,6 +597,8 @@ def cmd_expr_graph(args) -> int:
 
 
 def cmd_props(args) -> int:
+    from .props import property_harness  # imported by this command alone
+
     matrix = _load_matrix(args)
     report = property_harness(matrix, samples=args.samples, seed=args.seed)
     payload = {

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import itertools
 import json
 import os
 import re
@@ -347,6 +349,26 @@ def _reduced_word_counts(name, max_length=None):
     return reduced_word_counts(matrix, enumerate_elements(matrix, max_length=max_length))
 
 
+def _record_stdout(monkeypatch):
+    """Lists that stdout's writes go to, as copies (a write's argument may be
+    a view of the block that the next write reuses), and after each of its
+    flushes the number of writes so far."""
+    writes, flushed = [], []
+    monkeypatch.setattr(sys.stdout.buffer, "write", lambda b: writes.append(bytes(b)))
+    monkeypatch.setattr(sys.stdout.buffer, "flush", lambda: flushed.append(len(writes)))
+    return writes, flushed
+
+
+def _first_flush(writes, flushed):
+    """The number of writes the first flush after a write sends out."""
+    return next(count for count in flushed if count)
+
+
+def _first_element(document: bytes) -> bytes:
+    """The verify document's opening and first element."""
+    return document[: document.index(b",\n    {\n")]
+
+
 def _check_failing_element(monkeypatch, capsys, how, index):
     """Element ``index`` of A3 raises, or kills its worker: exit 4 with the
     stdout of the run in this process, and no child left behind."""
@@ -387,9 +409,10 @@ class TestVerifyWorkers:
         [("A3", None), ("B3", None), ("H3", None), ("I2_7", None), ("D4", None), ("B4", 8)],
     )
     def test_worker_counts_give_the_same_document(self, name, max_length):
-        # through blocks of 4 096 bytes, so that many chunks read from the
-        # workers straddle two blocks
-        from coxlab.cli import _BlockWriter, _verify_outcomes
+        # element 0 in process and the rest from the workers, as verify
+        # runs them, through blocks of 4 096 bytes, so that many chunks
+        # read from the workers straddle two blocks
+        from coxlab.cli import _BlockWriter, _outcomes, _verify_outcomes
 
         matrix = catalog_matrix(name)
         partition = pair_classes(matrix)
@@ -400,7 +423,10 @@ class TestVerifyWorkers:
             out = _BlockWriter(digest.update, 4096)
 
             def recorded():
-                for verdict, chunks in _verify_outcomes(partition, elements, workers):
+                for verdict, chunks in itertools.chain(
+                    _outcomes(partition, elements, range(1)),
+                    _verify_outcomes(partition, elements, workers, 1),
+                ):
                     verdicts.append(verdict)
                     yield verdict, chunks
 
@@ -445,22 +471,34 @@ class TestVerifyWorkers:
         # A3's w0, element 23, is dealt before elements 20-22
         _check_failing_element(monkeypatch, capsys, how, 23)
 
-    @pytest.mark.parametrize("cpus, how", [(1, "raise"), (2, "raise"), (2, "sigkill")])
+    @pytest.mark.parametrize(
+        "cpus, how, index",
+        [
+            pytest.param(1, "raise", 0, id="1-raise"),
+            pytest.param(2, "raise", 0, id="2-raise"),
+            pytest.param(2, "raise", 1, id="2-raise-in-a-worker"),
+            pytest.param(2, "sigkill", 1, id="2-sigkill"),
+        ],
+    )
     def test_a_failure_inside_the_first_element_leaves_its_text(
-        self, monkeypatch, capsys, cpus, how
+        self, monkeypatch, capsys, cpus, how, index
     ):
-        # the first element is not held: once its first chunk is written, an
-        # error or a dead worker leaves the document's opening and that chunk
+        # the first element of a stream is not held: once its first chunk
+        # is written, an error or a dead worker leaves the text before it
+        # and that chunk.  Element 0 is verified in process on any number
+        # of CPUs; element 1 is the first that a worker streams
         import coxlab.cli
 
         args = ["verify", "--type", "A3", "--all-elements"]
         document = _main(monkeypatch, capsys, args, cpus=1)[1]
+        target = enumerate_elements(catalog_matrix("A3"))[index]
+        canonical = [s + 1 for s in target.word]
         real = coxlab.cli.element_chunks
 
         def failing(head, report, texts):
             chunks = real(head, report, texts)
             yield next(chunks)
-            if head["element"]["length"] == 0:
+            if head["element"]["canonical"] == canonical:
                 if how == "sigkill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ValueError("cannot write the report")
@@ -470,9 +508,9 @@ class TestVerifyWorkers:
         code, out, err = _main(monkeypatch, capsys, args, cpus)
         assert code == 4
         assert document.startswith(out) and out.endswith('"cycles": [')
-        assert out.count('"element": {') == 1
+        assert out.count('"element": {') == index + 1
         if how == "sigkill":
-            assert "ended before element 0 was complete: killed by signal 9" in err
+            assert f"ended before element {index} was complete: killed by signal 9" in err
         else:  # the traceback, in a worker too
             assert "Traceback" in err
             assert err.rstrip("\n").endswith("ValueError: cannot write the report")
@@ -528,8 +566,9 @@ class TestVerifyWorkers:
 
     @pytest.mark.parametrize("cpus", ["all", "one"])
     def test_a_closed_stdout_exits_four(self, cpus):
-        # the reader leaves after one byte: one line on stderr, exit 4, and
-        # stderr reaches EOF, so no worker is left holding it
+        # the reader leaves after 64 KiB + 1 bytes, past the first element,
+        # which leaves before the workers are forked: one line on stderr,
+        # exit 4, and stderr reaches EOF, so no worker is left holding it
         preexec = None
         if cpus == "one":
             if not hasattr(os, "sched_setaffinity"):
@@ -542,6 +581,7 @@ class TestVerifyWorkers:
         )
         try:
             assert proc.stdout.read(1) == b"{"
+            proc.stdout.read(1 << 16)
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
         finally:
@@ -553,13 +593,15 @@ class TestVerifyWorkers:
 
     def test_killing_the_parent_leaves_no_worker_holding_its_output(self):
         # the workers stop once their pipe has no reader, so stdout and
-        # stderr reach EOF soon after the parent is gone
+        # stderr reach EOF soon after the parent is gone; the parent is
+        # killed past the first element, so once its workers are forked
         proc = subprocess.Popen(
             [sys.executable, "-m", "coxlab", "verify", "--type", "D4", "--all-elements"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         try:
             assert proc.stdout.read(1) == b"{"
+            proc.stdout.read(1 << 16)
             proc.kill()
             proc.communicate(timeout=5)
         finally:
@@ -647,6 +689,21 @@ class TestCliCommands:
         assert payload["verdict"] == "pass"
         assert payload["failures"] == []
         assert payload["checks"]["inversion_entries_distinct"] == 40
+
+    def test_props_is_imported_at_first_use(self):
+        # the CLI starts without coxlab.props; its four names still import
+        code = (
+            "import sys, coxlab.cli\n"
+            "assert 'coxlab.props' not in sys.modules\n"
+            "from coxlab import (\n"
+            "    occurrence_bit, order_of_product, property_harness, subword_embedding_count,\n"
+            ")\n"
+            "import coxlab.props\n"
+            "assert property_harness is coxlab.props.property_harness\n"
+            "assert 'subword_embedding_count' in dir(coxlab)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize(
         "rows", ["1 3 3\n3 1 3\n3 3 1", "1 3 inf\n3 1 3\ninf 3 1"], ids=["affine_A2", "inf_bond"]
@@ -954,55 +1011,103 @@ class TestCliCommands:
         assert document.startswith(captured.out)
 
     def test_verify_writes_whole_blocks(self, monkeypatch, capsys):
-        # every write but the last is one whole block; the bytes are those of
-        # a single block, from this process and from two workers.  A write's
-        # argument is a view of the block the next write reuses: keep a copy
+        # the opening and the first element are flushed first, then every
+        # write but the last is one whole block; the bytes are those of a
+        # single block, from this process and from two workers
         import coxlab.cli
 
         args = ["verify", "--type", "A3", "--all-elements"]
         assert coxlab.cli.main(args) == 0
-        document = capsys.readouterr().out
-        writes = []
+        document = capsys.readouterr().out.encode()
         monkeypatch.setattr(coxlab.cli, "_VERIFY_BLOCK", 4096)
-        monkeypatch.setattr(sys.stdout.buffer, "write", lambda b: writes.append(bytes(b)))
         for cpus in (1, 2):
-            writes.clear()
+            writes, flushed = _record_stdout(monkeypatch)
             _set_cpus(monkeypatch, cpus)
             assert coxlab.cli.main(args) == 0
-            assert b"".join(writes) == document.encode()
-            assert len(writes) > 2
-            assert all(len(w) == 4096 for w in writes[:-1])
-            assert 0 < len(writes[-1])
+            assert b"".join(writes) == document
+            first = _first_flush(writes, flushed)
+            assert b"".join(writes[:first]) == _first_element(document)
+            blocks = writes[first:]
+            assert len(blocks) > 2
+            assert all(len(w) == 4096 for w in blocks[:-1])
+            assert 0 < len(blocks[-1])
 
     def test_verify_ramps_its_blocks_up(self, monkeypatch, capsys):
-        # with 1 MiB blocks: 64, 128, 256 and 512 KiB, then whole blocks of
-        # 1 MiB, and the bytes of a single block, in process and in workers
+        # with 1 MiB blocks: the opening and the first element, flushed;
+        # then 64, 128, 256 and 512 KiB, then whole blocks of 1 MiB, and the
+        # bytes of a single block, in process and in workers
         import coxlab.cli
 
         args = ["verify", "--type", "A4", "--all-elements"]
         assert coxlab.cli.main(args) == 0
         document = capsys.readouterr().out.encode()
+        head = _first_element(document)
         block = 1 << 20
         ramp = [64 << 10, 128 << 10, 256 << 10, 512 << 10]
-        whole, rest = divmod(len(document) - sum(ramp), block)
+        whole, rest = divmod(len(document) - len(head) - sum(ramp), block)
         assert whole > 1 and rest
-        writes = []
         monkeypatch.setattr(coxlab.cli, "_VERIFY_BLOCK", block)
-        monkeypatch.setattr(sys.stdout.buffer, "write", lambda b: writes.append(bytes(b)))
         for cpus in (1, 2):
-            writes.clear()
+            writes, flushed = _record_stdout(monkeypatch)
             _set_cpus(monkeypatch, cpus)
             assert coxlab.cli.main(args) == 0
             assert b"".join(writes) == document
-            assert [len(w) for w in writes] == ramp + [block] * whole + [rest]
+            first = _first_flush(writes, flushed)
+            assert b"".join(writes[:first]) == head
+            assert [len(w) for w in writes[first:]] == ramp + [block] * whole + [rest]
 
-    def test_verify_writes_before_the_fiftieth_element(self, monkeypatch, capsys):
-        # D4 in process: the first 64 KiB block is full after 45 of its 192
-        # elements, so the document starts long before the first 4 MB are
-        # written
+    def test_verify_writes_the_first_element_before_it_forks(self, monkeypatch, capsys):
+        # on two CPUs, through a real buffered stdout: element 0 is verified
+        # here and reaches the file in one write before the first fork; the
+        # output block is allocated after the forks, so that no worker holds
+        # its pages; and the document is that of the run in process
+        import gc
+
         import coxlab.cli
 
-        verified, writes = [], []  # elements verified at each write
+        args = ["verify", "--type", "A3", "--all-elements"]
+        document = _main(monkeypatch, capsys, args, cpus=1)[1].encode()
+        events = []  # "verify", "fork", and the bytes of each raw write
+
+        class Raw(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                events.append(bytes(data))
+                return len(data)
+
+        real_verify, real_fork = coxlab.cli._verify_one, os.fork
+
+        def verify_one(partition, element, source=None):
+            events.append("verify")
+            return real_verify(partition, element, source)
+
+        def fork():
+            events.append("fork")
+            blocks = [
+                o for o in gc.get_objects()
+                if isinstance(o, coxlab.cli._BlockWriter) and o._block is not None
+            ]
+            assert not blocks, "the output block is allocated before the fork"
+            return real_fork()
+
+        monkeypatch.setattr(coxlab.cli, "_verify_one", verify_one)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(Raw())))
+        _set_cpus(monkeypatch, 2)
+        assert coxlab.cli.main(args) == 0
+        assert events[: events.index("fork")] == ["verify", _first_element(document)]
+        assert events.count("fork") == 2 and events.count("verify") == 1
+        assert b"".join(e for e in events if isinstance(e, bytes)) == document
+
+    def test_verify_writes_before_the_fiftieth_element(self, monkeypatch, capsys):
+        # D4 in process: the opening and the first element are written and
+        # flushed once that element is verified, long before the first
+        # 64 KiB block is full (after 45 of the 192 elements)
+        import coxlab.cli
+
+        verified, writes, flushed = [], [], []  # elements verified at each call
         real = coxlab.cli._verify_one
 
         def counted(partition, element, source=None):
@@ -1011,10 +1116,12 @@ class TestCliCommands:
 
         monkeypatch.setattr(coxlab.cli, "_verify_one", counted)
         monkeypatch.setattr(sys.stdout.buffer, "write", lambda b: writes.append(len(verified)))
+        monkeypatch.setattr(sys.stdout.buffer, "flush", lambda: flushed.append(len(verified)))
         _set_cpus(monkeypatch, 1)
         assert coxlab.cli.main(["verify", "--type", "D4", "--all-elements"]) == 0
         assert len(verified) == 192
-        assert writes[0] < 50
+        assert writes[0] == 1
+        assert [n for n in flushed if n][0] == 1
 
     @pytest.mark.slow
     def test_b4_all_elements_streams_under_one_gigabyte(self, tmp_path):
